@@ -14,7 +14,7 @@ LocalTrainer::LocalTrainer(std::unique_ptr<ml::Model> model, std::size_t dense_d
   FLINT_CHECK(model_ != nullptr);
 }
 
-double LocalTrainer::train_classification(std::span<const ml::Example> data,
+double LocalTrainer::train_classification(std::span<const ml::Example* const> data,
                                           const LocalTrainConfig& config,
                                           ml::SgdOptimizer& opt) {
   double total_loss = 0.0;
@@ -39,39 +39,33 @@ double LocalTrainer::train_classification(std::span<const ml::Example> data,
   return steps == 0 ? 0.0 : total_loss / static_cast<double>(steps);
 }
 
-double LocalTrainer::train_ranking(std::span<const ml::Example> data,
+double LocalTrainer::train_ranking(std::span<const ml::Example* const> data,
                                    const LocalTrainConfig& config, ml::SgdOptimizer& opt) {
   // Group candidates by ranking group; each group is one SGD step. One
-  // stable sort of indices + one flat gather into a reused scratch buffer
-  // replaces the old per-call std::map<group, vector<Example>> (a node
-  // allocation per group and an extra copy per example); the spans walked
-  // below are identical in content and order (ascending group, original
-  // order within a group), so training is bit-for-bit unchanged.
-  ranking_order_.resize(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) ranking_order_[i] = i;
-  std::stable_sort(ranking_order_.begin(), ranking_order_.end(),
-                   [&data](std::size_t a, std::size_t b) { return data[a].group < data[b].group; });
-  ranking_grouped_.clear();
-  ranking_grouped_.reserve(data.size());
-  for (std::size_t i : ranking_order_) ranking_grouped_.push_back(data[i]);
+  // stable sort of example pointers (ascending group, original order within
+  // a group) into a reused scratch buffer; the groups are spans of it.
+  ranking_grouped_.assign(data.begin(), data.end());
+  std::stable_sort(ranking_grouped_.begin(), ranking_grouped_.end(),
+                   [](const ml::Example* a, const ml::Example* b) { return a->group < b->group; });
   struct GroupSpan {
     std::size_t begin, size;
   };
   std::vector<GroupSpan> groups;
   for (std::size_t i = 0; i < ranking_grouped_.size();) {
     std::size_t j = i + 1;
-    while (j < ranking_grouped_.size() && ranking_grouped_[j].group == ranking_grouped_[i].group)
+    while (j < ranking_grouped_.size() &&
+           ranking_grouped_[j]->group == ranking_grouped_[i]->group)
       ++j;
     groups.push_back({i, j - i});
     i = j;
   }
-  std::span<const ml::Example> grouped(ranking_grouped_);
+  std::span<const ml::Example* const> grouped(ranking_grouped_);
   double total_loss = 0.0;
   std::size_t steps = 0;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     for (const GroupSpan& g : groups) {
       if (g.size < 2) continue;
-      std::span<const ml::Example> members = grouped.subspan(g.begin, g.size);
+      std::span<const ml::Example* const> members = grouped.subspan(g.begin, g.size);
       ml::Batch batch = ml::Batch::from_examples(members, dense_dim_);
       ml::Tensor logits = model_->forward(batch);
       ml::LossResult loss = ml::pairwise_ranking_loss(logits, batch.labels);
@@ -101,6 +95,14 @@ void LocalTrainer::add_proximal_gradient(double mu) {
 LocalTrainResult LocalTrainer::train(std::span<const ml::Example> data,
                                      std::span<const float> global_params,
                                      const LocalTrainConfig& config) {
+  view_.resize(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) view_[i] = &data[i];
+  return train(view_, global_params, config);
+}
+
+LocalTrainResult LocalTrainer::train(std::span<const ml::Example* const> data,
+                                     std::span<const float> global_params,
+                                     const LocalTrainConfig& config) {
   FLINT_CHECK(!data.empty());
   // Local SGD is the wall-clock hot spot of a model-full simulation; the span
   // makes per-client training cost visible on the wall track of the trace.
@@ -128,7 +130,13 @@ std::vector<double> train_centralized(ml::Model& model, const data::FederatedTas
                                       const LocalTrainConfig& config, int epochs,
                                       util::Rng& rng) {
   FLINT_CHECK(epochs >= 1);
-  std::vector<ml::Example> all = task.train.to_centralized();
+  // The merged dataset is a permutation of pointers into the clients'
+  // examples: shuffling it makes the same draws as shuffling copies would,
+  // without holding a second copy of every example.
+  std::vector<const ml::Example*> all;
+  all.reserve(task.train.example_count());
+  for (const auto& client : task.train.clients())
+    for (const ml::Example& e : client.examples) all.push_back(&e);
   FLINT_CHECK(!all.empty());
   LocalTrainer trainer(model.clone(), task.batch_dense_dim());
   std::vector<float> params = model.get_flat_parameters();

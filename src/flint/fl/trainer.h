@@ -46,12 +46,17 @@ class LocalTrainer {
                          std::span<const float> global_params,
                          const LocalTrainConfig& config);
 
+  /// The same over examples held elsewhere, in the order given.
+  LocalTrainResult train(std::span<const ml::Example* const> data,
+                         std::span<const float> global_params,
+                         const LocalTrainConfig& config);
+
   ml::Model& model() { return *model_; }
 
  private:
-  double train_classification(std::span<const ml::Example> data, const LocalTrainConfig& config,
-                              ml::SgdOptimizer& opt);
-  double train_ranking(std::span<const ml::Example> data, const LocalTrainConfig& config,
+  double train_classification(std::span<const ml::Example* const> data,
+                              const LocalTrainConfig& config, ml::SgdOptimizer& opt);
+  double train_ranking(std::span<const ml::Example* const> data, const LocalTrainConfig& config,
                        ml::SgdOptimizer& opt);
   /// Add mu*(w - w_anchor) to the accumulated gradients (FedProx).
   void add_proximal_gradient(double mu);
@@ -59,10 +64,11 @@ class LocalTrainer {
   std::unique_ptr<ml::Model> model_;
   std::size_t dense_dim_;
   std::vector<float> prox_anchor_;  ///< global params for the current call
-  // Ranking scratch, reused across train() calls so repeat clients don't
-  // re-pay the allocations (capacity persists; contents are per-call).
-  std::vector<std::size_t> ranking_order_;
-  std::vector<ml::Example> ranking_grouped_;
+  // Scratch reused across train() calls so repeat clients don't re-pay the
+  // allocations (capacity persists; contents are per-call): the pointer view
+  // of a contiguous dataset, and the ranking path's group-sorted view.
+  std::vector<const ml::Example*> view_;
+  std::vector<const ml::Example*> ranking_grouped_;
 };
 
 /// Centralized baseline: epochs of shuffled mini-batch SGD over the merged

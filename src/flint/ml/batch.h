@@ -33,14 +33,28 @@ struct Batch {
   /// Build a batch; every example's dense vector must have length dense_dim
   /// (use 0 for models with no dense features).
   static Batch from_examples(std::span<const Example> examples, std::size_t dense_dim) {
+    return gather(examples.size(), dense_dim,
+                  [examples](std::size_t i) -> const Example& { return examples[i]; });
+  }
+
+  /// The same, gathered through pointers: a permuted or grouped view of
+  /// examples stored elsewhere, batched without copying the examples first.
+  static Batch from_examples(std::span<const Example* const> examples, std::size_t dense_dim) {
+    return gather(examples.size(), dense_dim,
+                  [examples](std::size_t i) -> const Example& { return *examples[i]; });
+  }
+
+ private:
+  template <typename At>
+  static Batch gather(std::size_t n, std::size_t dense_dim, At at) {
     Batch b;
-    b.dense = Tensor(examples.size(), dense_dim == 0 ? 1 : dense_dim);
+    b.dense = Tensor(n, dense_dim == 0 ? 1 : dense_dim);
     if (dense_dim == 0) b.dense.zero();
-    b.tokens.reserve(examples.size());
-    b.labels.reserve(examples.size());
-    b.labels2.reserve(examples.size());
-    for (std::size_t i = 0; i < examples.size(); ++i) {
-      const Example& e = examples[i];
+    b.tokens.reserve(n);
+    b.labels.reserve(n);
+    b.labels2.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Example& e = at(i);
       if (dense_dim > 0) {
         FLINT_CHECK_MSG(e.dense.size() == dense_dim,
                         "example dense dim " << e.dense.size() << " != batch dim " << dense_dim);

@@ -1,5 +1,6 @@
 #include "flint/util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -106,6 +107,27 @@ std::int64_t poisson_ptrs(std::mt19937_64& engine, double mean) {
   }
 }
 
+/// Cumulative harmonic weights cdf[k] = sum_{i<=k+1} 1/i^s, summed in index
+/// order, for the (n, s) last drawn on this thread. Rebuilt only when the
+/// parameters change, so a run of draws over one vocabulary costs one pow()
+/// pass instead of two per draw.
+const std::vector<double>& zipf_cdf(std::size_t n, double s) {
+  thread_local std::size_t cached_n = 0;
+  thread_local double cached_s = 0.0;
+  thread_local std::vector<double> cdf;
+  if (n != cached_n || s != cached_s || cdf.empty()) {
+    cdf.resize(n);
+    double acc = 0.0;
+    for (std::size_t i = 1; i <= n; ++i) {
+      acc += 1.0 / std::pow(static_cast<double>(i), s);
+      cdf[i - 1] = acc;
+    }
+    cached_n = n;
+    cached_s = s;
+  }
+  return cdf;
+}
+
 }  // namespace
 
 std::int64_t Rng::poisson(double mean) {
@@ -131,18 +153,12 @@ std::size_t Rng::zipf(std::size_t n, double s) {
   // exact uniform draw instead of accumulating n pow() round-off errors.
   if (std::abs(s) < 1e-12)
     return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  // Inverse-CDF over the harmonic weights. O(n) per draw is fine for the
-  // catalog sizes FLINT uses (device models, vocab buckets); callers that
-  // need bulk Zipf draws should precompute a categorical table instead.
-  double h = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) h += 1.0 / std::pow(static_cast<double>(i), s);
-  double u = uniform(0.0, h);
-  double acc = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i), s);
-    if (u <= acc) return i - 1;
-  }
-  return n - 1;
+  // Inverse-CDF over the harmonic weights: one uniform, then a binary search
+  // of the cached cumulative sums.
+  const std::vector<double>& cdf = zipf_cdf(n, s);
+  double u = uniform(0.0, cdf.back());
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? n - 1 : static_cast<std::size_t>(it - cdf.begin());
 }
 
 std::vector<double> Rng::dirichlet(std::size_t k, double alpha) {

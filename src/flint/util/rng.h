@@ -51,8 +51,8 @@ class Rng {
   std::int64_t poisson(double mean);
 
   /// Zipf-distributed rank in [0, n) with exponent s >= 0.
-  /// s = 0 degenerates to uniform. Uses a precomputable CDF for small n and
-  /// rejection sampling for large n.
+  /// s = 0 degenerates to uniform. Inverts the cumulative harmonic weights,
+  /// which are cached per thread for the last (n, s) drawn.
   std::size_t zipf(std::size_t n, double s);
 
   /// Dirichlet draw over k categories with symmetric concentration alpha.
