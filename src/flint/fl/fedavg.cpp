@@ -71,7 +71,7 @@ RunResult run_fedavg(const SyncConfig& config) {
       params = c.model_parameters;
     }
     server_opt.restore_velocity(c.server_velocity);
-    if (!c.server_rng_state.empty()) server_rng.deserialize_state(c.server_rng_state);
+    if (!c.server_rng_state.empty()) server_rng.set_state(c.server_rng_state);
     task_ids = c.next_task_id;
     round = c.round;
     t = c.virtual_time_s;
@@ -93,7 +93,7 @@ RunResult run_fedavg(const SyncConfig& config) {
     ckpt.algo = store::kCheckpointAlgoFedAvg;
     ckpt.resume_count = resume_count;
     ckpt.server_velocity = server_opt.velocity();
-    ckpt.server_rng_state = server_rng.serialize_state();
+    ckpt.server_rng_state.assign(server_rng.state().begin(), server_rng.state().end());
     ckpt.next_task_id = task_ids;
     ckpt.arrival_cursor = leader.arrivals().cursor();
     ckpt.requeued = checkpoint_requeued(leader.arrivals().requeued_snapshot());

@@ -110,7 +110,7 @@ void fill_checkpoint(FedBuffState& s, store::SimCheckpoint& ckpt) {
   ckpt.algo = store::kCheckpointAlgoFedBuff;
   ckpt.resume_count = s.resume_count;
   ckpt.server_velocity = s.server_opt->velocity();
-  ckpt.server_rng_state = s.server_rng.serialize_state();
+  ckpt.server_rng_state.assign(s.server_rng.state().begin(), s.server_rng.state().end());
   ckpt.next_task_id = s.task_ids;
   ckpt.arrival_cursor = s.leader->arrivals().cursor();
   ckpt.requeued = checkpoint_requeued(s.leader->arrivals().requeued_snapshot());
@@ -422,7 +422,7 @@ RunResult run_fedbuff(const AsyncConfig& config) {
         s.params_snapshot = std::make_shared<const std::vector<float>>(s.params);
     }
     s.server_opt->restore_velocity(c.server_velocity);
-    if (!c.server_rng_state.empty()) s.server_rng.deserialize_state(c.server_rng_state);
+    if (!c.server_rng_state.empty()) s.server_rng.set_state(c.server_rng_state);
     s.version = c.round;
     s.task_ids = c.next_task_id;
     s.last_participation.restore(c.last_participation);

@@ -1,6 +1,7 @@
 #include "flint/store/checkpoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include "flint/util/check.h"
 #include "flint/util/crc32.h"
 #include "flint/util/logging.h"
+#include "flint/util/rng.h"
 
 namespace flint::store {
 
@@ -20,9 +22,15 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'F', 'C', 'K', 'P'};
-constexpr std::uint32_t kFormatVersion = 2;
+// v3: the server RNG state is four xoshiro256** words; v2 held the previous
+// engine's ~5 KB text state. Older files are refused, not migrated: their
+// RNG state cannot be carried over to the new engine.
+constexpr std::uint32_t kFormatVersion = 3;
 // magic + u32 version + u64 payload size + u32 payload CRC.
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 4;
+constexpr std::size_t kRngStateWords = std::tuple_size_v<util::Rng::State>;
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint fields are written in host byte order and read as little endian");
 
 std::int64_t seq_of(const fs::path& path) {
   // "ckpt_<seq>" -> seq, or -1 if the name doesn't match. 64-bit: a
@@ -40,24 +48,11 @@ std::int64_t seq_of(const fs::path& path) {
 }
 
 // --- payload field helpers --------------------------------------------------
-// Every variable-length field is a u64 count followed by elements, and every
+// Fields are stored in host byte order, which the format pins to little
+// endian. Every variable-length field is a u64 count followed by elements, and every
 // count is validated with the division form `n <= remaining / elem_size` —
 // the multiplied form overflows size_t for a corrupt huge n and bypasses the
 // bound entirely.
-
-void append_string(std::vector<char>& out, const std::string& s) {
-  util::append_pod(out, static_cast<std::uint64_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string read_string(const std::vector<char>& in, std::size_t& offset) {
-  auto n = util::read_pod<std::uint64_t>(in, offset);
-  FLINT_CHECK_LE(offset, in.size());
-  FLINT_CHECK_MSG(n <= in.size() - offset, "corrupt checkpoint: string length " << n);
-  std::string s(in.data() + offset, in.data() + offset + n);
-  offset += n;
-  return s;
-}
 
 template <typename T>
 void append_numeric_vector(std::vector<char>& out, const std::vector<T>& v) {
@@ -213,7 +208,7 @@ std::vector<char> serialize_checkpoint(const SimCheckpoint& c) {
   util::append_pod(payload, c.tasks_completed);
   append_numeric_vector(payload, c.model_parameters);
   append_numeric_vector(payload, c.server_velocity);
-  append_string(payload, c.server_rng_state);
+  append_numeric_vector(payload, c.server_rng_state);
   util::append_pod(payload, c.next_task_id);
   util::append_pod(payload, c.arrival_cursor);
   util::append_pod(payload, static_cast<std::uint64_t>(c.requeued.size()));
@@ -288,7 +283,10 @@ SimCheckpoint deserialize_checkpoint(const std::vector<char>& bytes) {
   c.tasks_completed = util::read_pod<std::uint64_t>(bytes, offset);
   c.model_parameters = read_numeric_vector<float>(bytes, offset);
   c.server_velocity = read_numeric_vector<float>(bytes, offset);
-  c.server_rng_state = read_string(bytes, offset);
+  c.server_rng_state = read_numeric_vector<std::uint64_t>(bytes, offset);
+  FLINT_CHECK_MSG(c.server_rng_state.empty() || c.server_rng_state.size() == kRngStateWords,
+                  "corrupt checkpoint: rng state has " << c.server_rng_state.size()
+                                                       << " words, expected " << kRngStateWords);
   c.next_task_id = util::read_pod<std::uint64_t>(bytes, offset);
   c.arrival_cursor = util::read_pod<std::uint64_t>(bytes, offset);
   c.requeued.resize(read_count(bytes, offset, 4 * sizeof(std::uint64_t)));

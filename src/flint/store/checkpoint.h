@@ -153,7 +153,7 @@ struct SimCheckpoint {
   // Server-side training state. The LR schedule needs no extra state: it is
   // a pure function of `round`, which is restored above.
   std::vector<float> server_velocity;    ///< optimizer momentum (may be empty)
-  std::string server_rng_state;          ///< util::Rng::serialize_state()
+  std::vector<std::uint64_t> server_rng_state;  ///< util::Rng::state() words; empty = none
   std::uint64_t next_task_id = 0;
 
   // Scheduler/arrival position.

@@ -2,43 +2,88 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <limits>
 
 namespace flint::util {
 
+namespace {
+
+/// Full 64x64 -> 128-bit product: returns the low word, stores the high one.
+std::uint64_t mul_wide(std::uint64_t a, std::uint64_t b, std::uint64_t& high) {
+#ifdef __SIZEOF_INT128__
+  __extension__ using u128 = unsigned __int128;
+  const u128 p = static_cast<u128>(a) * b;
+  high = static_cast<std::uint64_t>(p >> 64);
+  return static_cast<std::uint64_t>(p);
+#else
+  const std::uint64_t a_lo = a & 0xffffffffULL, a_hi = a >> 32;
+  const std::uint64_t b_lo = b & 0xffffffffULL, b_hi = b >> 32;
+  const std::uint64_t ll = a_lo * b_lo, lh = a_lo * b_hi, hl = a_hi * b_lo;
+  const std::uint64_t mid = (ll >> 32) + (lh & 0xffffffffULL) + (hl & 0xffffffffULL);
+  high = a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32);
+  return (mid << 32) | (ll & 0xffffffffULL);
+#endif
+}
+
+/// Uniform integer in [0, range) for range >= 1: Lemire's nearly-divisionless
+/// method. The high word of draw * range is the result; draws whose low word
+/// falls below 2^64 mod range are rejected, which removes the modulo bias and
+/// costs a division only on the rare path that needs one.
+std::uint64_t bounded(Rng& rng, std::uint64_t range) {
+  std::uint64_t high = 0;
+  std::uint64_t low = mul_wide(rng.next_u64(), range, high);
+  if (low < range) {
+    const std::uint64_t threshold = (0 - range) % range;
+    while (low < threshold) low = mul_wide(rng.next_u64(), range, high);
+  }
+  return high;
+}
+
+}  // namespace
+
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   FLINT_CHECK_MSG(lo <= hi, "uniform_int bounds inverted: " << lo << " > " << hi);
-  std::uniform_int_distribution<std::int64_t> d(lo, hi);
-  return d(engine_);
+  // hi - lo in unsigned arithmetic: exact for every lo <= hi, including the
+  // full [INT64_MIN, INT64_MAX] range, which takes a raw draw.
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  const std::uint64_t offset =
+      span == std::numeric_limits<std::uint64_t>::max() ? next_u64() : bounded(*this, span + 1);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + offset);
 }
 
 double Rng::uniform(double lo, double hi) {
   FLINT_CHECK(lo <= hi);
-  std::uniform_real_distribution<double> d(lo, hi);
-  return d(engine_);
+  const double x = lo + (hi - lo) * canonical();
+  // Rounding can carry lo + (hi - lo) * u up to hi itself; keep [lo, hi).
+  if (x < hi) return x;
+  return lo < hi ? std::nextafter(hi, lo) : lo;
 }
 
 bool Rng::bernoulli(double p) {
   FLINT_CHECK_PROB(p);
-  std::bernoulli_distribution d(p);
-  return d(engine_);
+  return canonical() < p;
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
+  // Marsaglia's polar method. Each accepted pair yields two independent
+  // normals; only one is returned, so the state stays four words.
+  double x = 0.0, y = 0.0, r2 = 0.0;
+  do {
+    x = 2.0 * canonical() - 1.0;
+    y = 2.0 * canonical() - 1.0;
+    r2 = x * x + y * y;
+  } while (r2 >= 1.0 || r2 <= 0.0);
+  return mean + stddev * x * std::sqrt(-2.0 * std::log(r2) / r2);
 }
 
-double Rng::lognormal(double mu, double sigma) {
-  std::lognormal_distribution<double> d(mu, sigma);
-  return d(engine_);
-}
+double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 
 double Rng::exponential(double rate) {
   FLINT_CHECK_FINITE(rate);
   FLINT_CHECK_GT(rate, 0.0);
-  std::exponential_distribution<double> d(rate);
-  return d(engine_);
+  // Inversion; log1p keeps full precision for small u, and u < 1 keeps the
+  // result finite.
+  return -std::log1p(-canonical()) / rate;
 }
 
 double Rng::pareto(double x_min, double alpha) {
@@ -53,24 +98,35 @@ double Rng::pareto(double x_min, double alpha) {
 double Rng::gamma(double shape, double scale) {
   FLINT_CHECK_GT(shape, 0.0);
   FLINT_CHECK_GT(scale, 0.0);
-  std::gamma_distribution<double> d(shape, scale);
-  return d(engine_);
+  if (shape < 1.0) {
+    // Boost: if G ~ Gamma(shape + 1) and U ~ U(0, 1], then G * U^(1/shape)
+    // ~ Gamma(shape).
+    const double g = gamma(shape + 1.0, scale);
+    return g * std::pow(1.0 - canonical(), 1.0 / shape);
+  }
+  // Marsaglia & Tsang (2000): squeeze-and-reject over a cubed normal.
+  const double d = shape - 1.0 / 3.0;
+  const double c = 1.0 / std::sqrt(9.0 * d);
+  for (;;) {
+    double x = 0.0, v = 0.0;
+    do {
+      x = normal();
+      v = 1.0 + c * x;
+    } while (v <= 0.0);
+    v = v * v * v;
+    const double u = canonical();
+    const double x2 = x * x;
+    if (u < 1.0 - 0.0331 * x2 * x2) return d * v * scale;
+    if (std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) return d * v * scale;
+  }
 }
 
 namespace {
 
-/// Uniform in [0, 1) built from the engine's raw 64-bit output (53 mantissa
-/// bits). mt19937_64's output sequence is fully specified by the standard, so
-/// samplers built on this helper draw identically on every implementation —
-/// unlike std::*_distribution, whose algorithms are implementation-defined.
-double canonical_u01(std::mt19937_64& engine) {
-  return static_cast<double>(engine() >> 11) * 0x1.0p-53;
-}
-
 /// Inversion by sequential search (Devroye): one uniform, multiplicative
 /// pmf recurrence. Exact and fast for small means.
-std::int64_t poisson_inversion(std::mt19937_64& engine, double mean) {
-  double u = canonical_u01(engine);
+std::int64_t poisson_inversion(Rng& rng, double mean) {
+  double u = rng.canonical();
   double p = std::exp(-mean);
   double cum = p;
   std::int64_t k = 0;
@@ -85,17 +141,16 @@ std::int64_t poisson_inversion(std::mt19937_64& engine, double mean) {
   return k;
 }
 
-/// Hormann's PTRS transformed-rejection sampler for large means. Uses only
-/// canonical_u01 draws plus libm, so the draw *sequence* is portable.
-std::int64_t poisson_ptrs(std::mt19937_64& engine, double mean) {
+/// Hormann's PTRS transformed-rejection sampler for large means.
+std::int64_t poisson_ptrs(Rng& rng, double mean) {
   const double b = 0.931 + 2.53 * std::sqrt(mean);
   const double a = -0.059 + 0.02483 * b;
   const double inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
   const double v_r = 0.9277 - 3.6224 / (b - 2.0);
   const double log_mean = std::log(mean);
   for (;;) {
-    double u = canonical_u01(engine) - 0.5;
-    double v = canonical_u01(engine);
+    double u = rng.canonical() - 0.5;
+    double v = rng.canonical();
     double us = 0.5 - std::abs(u);
     double kf = std::floor((2.0 * a / us + b) * u + mean + 0.43);
     if (us >= 0.07 && v <= v_r) return static_cast<std::int64_t>(kf);
@@ -136,13 +191,8 @@ std::int64_t Rng::poisson(double mean) {
   // fpclassify makes the "exactly zero, not merely small" intent explicit:
   // tiny positive means are valid Poisson parameters.
   if (std::fpclassify(mean) == FP_ZERO) return 0;
-  // Portable sampler instead of std::poisson_distribution: the standard
-  // leaves that algorithm implementation-defined, so libstdc++ and libc++
-  // disagree draw-for-draw — which would make every session trace (and thus
-  // every simulated result) depend on the standard library, breaking the
-  // repo-wide contract that results are a pure function of the seed.
-  if (mean < 10.0) return poisson_inversion(engine_, mean);
-  return poisson_ptrs(engine_, mean);
+  if (mean < 10.0) return poisson_inversion(*this, mean);
+  return poisson_ptrs(*this, mean);
 }
 
 std::size_t Rng::zipf(std::size_t n, double s) {
@@ -234,27 +284,13 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::siz
   return out;
 }
 
-Rng Rng::fork() { return Rng(splitmix64(engine_())); }
+Rng Rng::fork() { return Rng(splitmix64(next_u64())); }
 
-std::string Rng::serialize_state() const {
-  std::ostringstream os;
-  os << engine_;
-  return os.str();
-}
-
-void Rng::deserialize_state(const std::string& state) {
-  std::istringstream is(state);
-  std::mt19937_64 restored;
-  is >> restored;
-  FLINT_CHECK_MSG(!is.fail(), "invalid mt19937_64 state string (" << state.size() << " bytes)");
-  engine_ = restored;
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+void Rng::set_state(std::span<const std::uint64_t> words) {
+  FLINT_CHECK_MSG(words.size() == s_.size(),
+                  "rng state has " << words.size() << " words, expected " << s_.size());
+  FLINT_CHECK_MSG((words[0] | words[1] | words[2] | words[3]) != 0, "rng state is all zero");
+  std::copy(words.begin(), words.end(), s_.begin());
 }
 
 Rng derive_stream(std::uint64_t seed, std::uint64_t stream, std::uint64_t substream) {

@@ -3,22 +3,46 @@
 // Every stochastic component in the platform takes an explicit Rng& so that
 // simulations are reproducible bit-for-bit from a seed. Trials derive child
 // seeds via Rng::fork(), which decorrelates streams without global state.
+//
+// The engine is xoshiro256** (Blackman & Vigna): four 64-bit words of state,
+// seeded by four SplitMix64 steps, so a fresh stream costs a few ns and
+// derive_stream() can key one per client and per task. Every sampler is
+// written out in rng.cpp on top of 53-bit canonical doubles rather than
+// delegating to std::*_distribution, whose algorithms are
+// implementation-defined: a draw depends on the seed and this file only,
+// never on the standard library.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "flint/util/check.h"
 
 namespace flint::util {
 
-/// Deterministic pseudo-random source. Wraps std::mt19937_64 with the
+/// SplitMix64 hash step; useful for deriving per-entity seeds from ids.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Deterministic pseudo-random source: a xoshiro256** engine with the
 /// distributions FLINT needs (heavy tails, Dirichlet, Zipf, sampling).
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed = 42) : engine_(seed), seed_(seed) {}
+  /// The engine state: four 64-bit words, never all zero.
+  using State = std::array<std::uint64_t, 4>;
+
+  /// Seeds the state with the SplitMix64 sequence started at `seed`.
+  explicit Rng(std::uint64_t seed = 42)
+      : s_{splitmix64(seed), splitmix64(seed + 0x9e3779b97f4a7c15ULL),
+           splitmix64(seed + 2 * 0x9e3779b97f4a7c15ULL),
+           splitmix64(seed + 3 * 0x9e3779b97f4a7c15ULL)},
+        seed_(seed) {}
 
   /// The seed this stream was created with.
   std::uint64_t seed() const { return seed_; }
@@ -82,27 +106,40 @@ class Rng {
   Rng fork();
 
   /// Raw 64-bit draw (for hashing / seeding).
-  std::uint64_t next_u64() { return engine_(); }
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Portable snapshot of the engine state (mt19937_64 textual form) for
-  /// checkpoint/resume; restore with deserialize_state(). The seed is not
-  /// part of the snapshot — callers re-derive the stream and then overlay
-  /// the state, so seed() stays meaningful after a resume.
-  std::string serialize_state() const;
+  /// Uniform double in [0, 1) from the top 53 bits of one draw: the
+  /// primitive every real-valued sampler is built on.
+  double canonical() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
-  /// Restore engine state captured by serialize_state(). Throws CheckError
-  /// if the string is not a valid mt19937_64 state.
-  void deserialize_state(const std::string& state);
+  /// Snapshot of the engine state for checkpoint/resume; restore it with
+  /// set_state(). The seed is not part of the snapshot: callers re-derive
+  /// the stream and then overlay the state, so seed() stays meaningful
+  /// after a resume.
+  const State& state() const { return s_; }
 
-  std::mt19937_64& engine() { return engine_; }
+  /// Restore a state captured by state(). Throws CheckError unless `words`
+  /// holds exactly four words, not all zero (xoshiro's one invalid state).
+  void set_state(std::span<const std::uint64_t> words);
 
  private:
-  std::mt19937_64 engine_;
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  State s_;
   std::uint64_t seed_;
 };
-
-/// SplitMix64 hash step; useful for deriving per-entity seeds from ids.
-std::uint64_t splitmix64(std::uint64_t x);
 
 /// Counter-based stream derivation: a fresh Rng keyed by (seed, stream,
 /// substream), independent of any engine state. The parallel runners use it

@@ -97,7 +97,10 @@ TEST(FeedForwardModel, EmbeddingFrontEndWithDense) {
   cfg.vocab = 20;
   cfg.embed_dim = 6;
   cfg.dense_dim = 3;
-  cfg.hidden = {5};
+  // No hidden ReLU: with identical inputs a whole ReLU layer can start dead,
+  // which rightly zeroes the table gradient and would make this check
+  // depend on the init draw rather than on the front-end wiring.
+  cfg.hidden = {};
   FeedForwardModel model(cfg);
   model.init(rng);
   std::vector<Example> examples(3);

@@ -124,7 +124,7 @@ TEST(SessionGenerator, FixedSeedTraceMatchesGoldenHash) {
   cfg.days = 2;
   util::Rng rng(4242);
   auto log = device::generate_sessions(cfg, catalog, rng);
-  EXPECT_EQ(fnv1a_session_hash(log.sessions), 0x92099c9f71ddbdbdull);
+  EXPECT_EQ(fnv1a_session_hash(log.sessions), 0x634d9c323bc08179ull);
 }
 
 // ------------------------------------- streaming == materialized, both paths

@@ -156,6 +156,37 @@ TEST(Checkpoint, DeserializeRejectsUnknownFormatVersion) {
   EXPECT_THROW(deserialize_checkpoint(blob), util::CheckError);
 }
 
+TEST(Checkpoint, DeserializeRejectsFormatVersion2WithClearError) {
+  // v2 stored the server RNG as mt19937_64 text; that state has no meaning
+  // for the current engine, so v2 files are refused rather than migrated.
+  auto blob = serialize_checkpoint(sample_checkpoint(1.0, 1));
+  std::uint32_t v2 = 2;
+  std::memcpy(blob.data() + 4, &v2, sizeof(v2));
+  try {
+    deserialize_checkpoint(blob);
+    FAIL() << "a v2 checkpoint was accepted";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint format version 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Checkpoint, DeserializeRejectsWrongLengthRngState) {
+  // The server RNG state is either absent or exactly four xoshiro256** words;
+  // any other word count (CRC intact) is corruption.
+  for (std::size_t words : {1u, 3u, 5u}) {
+    auto c = sample_checkpoint(1.0, 1);
+    c.server_rng_state.assign(words, 0x5555u);
+    EXPECT_THROW(deserialize_checkpoint(serialize_checkpoint(c)), util::CheckError)
+        << words << " words";
+  }
+  auto c = sample_checkpoint(1.0, 1);
+  c.server_rng_state = {1, 2, 3, 4};
+  EXPECT_EQ(deserialize_checkpoint(serialize_checkpoint(c)).server_rng_state,
+            c.server_rng_state);
+}
+
 TEST(Checkpoint, DeserializeRejectsCrcMismatch) {
   auto blob = serialize_checkpoint(sample_checkpoint(1.0, 1));
   blob[kBlobHeaderSize + 3] ^= 0x40;  // flip one payload bit
@@ -202,7 +233,7 @@ TEST(Checkpoint, SerializeRoundTripAllFields) {
   c.resume_count = 3;
   c.checkpoints_written = 9;
   c.server_velocity = {0.5f, -0.5f, 0.0f};
-  c.server_rng_state = std::string("rng\0state", 9);  // embedded NUL survives
+  c.server_rng_state = {0x0123456789abcdefull, 0, ~0ull, 42};
   c.next_task_id = 421;
   c.arrival_cursor = 88;
   c.requeued = {{10.5, 4, 1, 99.0}, {11.5, 7, 0, 100.0}};

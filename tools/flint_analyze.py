@@ -447,21 +447,14 @@ def check_nondet_sources(sf: SourceFile) -> list[Finding]:
 
 
 # std::*_distribution algorithms are implementation-defined: libstdc++ and
-# libc++ draw different values from the same engine state, so any use outside
-# util/rng (whose samplers are either portable or themselves the sanctioned
-# wrapper) silently breaks cross-stdlib reproducibility.
+# libc++ draw different values from the same engine state, so any use makes
+# results a function of the standard library rather than the seed. There is
+# no allowlist: util/rng writes every sampler out by hand, and the corpus
+# keeps a case inside util/rng to prove the ban holds there too.
 DISTRIBUTION_RE = re.compile(r"\bstd::\w+_distribution\b")
-
-# util/rng is the one sanctioned home for stdlib distributions: Rng's own
-# wrappers are the repo-wide seam, and its portable samplers (e.g. poisson)
-# replace the implementation-defined ones case by case.
-DISTRIBUTION_PATH_ALLOWLIST = ("src/flint/util/rng",)
 
 
 def check_distribution_sources(sf: SourceFile) -> list[Finding]:
-    posix = sf.path.as_posix()
-    if any(allowed in posix for allowed in DISTRIBUTION_PATH_ALLOWLIST):
-        return []
     findings = []
     for idx, line in enumerate(sf.code_lines):
         m = DISTRIBUTION_RE.search(line)
@@ -472,8 +465,8 @@ def check_distribution_sources(sf: SourceFile) -> list[Finding]:
             continue
         findings.append(Finding(
             sf.path, lineno, "nondet-source",
-            f"'{m.group(0)}' outside util/rng; std distribution algorithms "
-            f"are implementation-defined, so traces diverge across standard "
+            f"'{m.group(0)}': std distribution algorithms are "
+            f"implementation-defined, so traces diverge across standard "
             f"libraries — draw through util::Rng, or justify with "
             f"// flint-analyze: allow(nondet-source): <why>"))
     return findings
@@ -722,7 +715,7 @@ def analyze_file_clang(path: Path, compdb_dir: Path | None,
 
 def run_self_test(engine: str, corpus_dir: Path, include_dirs: list[Path],
                   compdb_dir: Path | None) -> int:
-    files = sorted(corpus_dir.glob("*.cpp"))
+    files = sorted(corpus_dir.rglob("*.cpp"))
     if not files:
         print(f"flint_analyze: empty corpus at {corpus_dir}", file=sys.stderr)
         return 2
@@ -733,23 +726,24 @@ def run_self_test(engine: str, corpus_dir: Path, include_dirs: list[Path],
         else:
             findings = analyze_file_text(f, include_dirs)
         stem = f.stem
+        name = f.relative_to(corpus_dir).as_posix()
         if stem.startswith("bad_"):
             expected = stem[len("bad_"):].rsplit("_case", 1)[0].replace("_", "-")
             hits = [x for x in findings if x.check == expected]
             if not hits:
-                print(f"SELF-TEST FAIL {f.name}: expected >=1 '{expected}' "
+                print(f"SELF-TEST FAIL {name}: expected >=1 '{expected}' "
                       f"finding, got {[str(x) for x in findings]}")
                 failures += 1
             else:
-                print(f"self-test ok   {f.name}: {len(hits)} x {expected}")
+                print(f"self-test ok   {name}: {len(hits)} x {expected}")
         elif stem.startswith("good_"):
             if findings:
-                print(f"SELF-TEST FAIL {f.name}: expected clean, got:")
+                print(f"SELF-TEST FAIL {name}: expected clean, got:")
                 for x in findings:
                     print(f"  {x}")
                 failures += 1
             else:
-                print(f"self-test ok   {f.name}: clean")
+                print(f"self-test ok   {name}: clean")
     print(f"flint_analyze self-test ({engine} engine): "
           f"{len(files)} files, {failures} failure(s)")
     return 1 if failures else 0
