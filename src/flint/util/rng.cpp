@@ -8,21 +8,13 @@ namespace flint::util {
 
 namespace {
 
-/// Full 64x64 -> 128-bit product: returns the low word, stores the high one.
+/// Full 64x64 -> 128-bit product (GCC/Clang's __int128): returns the low
+/// word, stores the high one.
 std::uint64_t mul_wide(std::uint64_t a, std::uint64_t b, std::uint64_t& high) {
-#ifdef __SIZEOF_INT128__
   __extension__ using u128 = unsigned __int128;
   const u128 p = static_cast<u128>(a) * b;
   high = static_cast<std::uint64_t>(p >> 64);
   return static_cast<std::uint64_t>(p);
-#else
-  const std::uint64_t a_lo = a & 0xffffffffULL, a_hi = a >> 32;
-  const std::uint64_t b_lo = b & 0xffffffffULL, b_hi = b >> 32;
-  const std::uint64_t ll = a_lo * b_lo, lh = a_lo * b_hi, hl = a_hi * b_lo;
-  const std::uint64_t mid = (ll >> 32) + (lh & 0xffffffffULL) + (hl & 0xffffffffULL);
-  high = a_hi * b_hi + (lh >> 32) + (hl >> 32) + (mid >> 32);
-  return (mid << 32) | (ll & 0xffffffffULL);
-#endif
 }
 
 /// Uniform integer in [0, range) for range >= 1: Lemire's nearly-divisionless
@@ -170,7 +162,7 @@ const std::vector<double>& zipf_cdf(std::size_t n, double s) {
   thread_local std::size_t cached_n = 0;
   thread_local double cached_s = 0.0;
   thread_local std::vector<double> cdf;
-  if (n != cached_n || s != cached_s || cdf.empty()) {
+  if (n != cached_n || s != cached_s) {
     cdf.resize(n);
     double acc = 0.0;
     for (std::size_t i = 1; i <= n; ++i) {
