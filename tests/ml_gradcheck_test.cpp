@@ -25,6 +25,18 @@ Batch mixed_batch(std::size_t n, std::size_t dense_dim, std::size_t vocab, util:
   return Batch::from_examples(examples, dense_dim);
 }
 
+/// init() leaves every bias at exactly zero, so an example whose whole
+/// previous layer is dead feeds a pre-activation of exactly 0: a ReLU kink,
+/// where the loss has no derivative for the check to compare against. Moving
+/// the zero-initialised parameters off zero puts the check at a generic point.
+void init_off_zero(Model& model, util::Rng& rng) {
+  model.init(rng);
+  std::vector<float> params = model.get_flat_parameters();
+  for (float& v : params)
+    if (v == 0.0f) v = static_cast<float>(rng.uniform(-0.1, 0.1));
+  model.set_flat_parameters(params);
+}
+
 double loss_of(Model& model, const Batch& batch) {
   Tensor logits = model.forward(batch);
   if (model.heads() == 1) return bce_with_logits(logits, batch.labels).loss;
@@ -32,12 +44,9 @@ double loss_of(Model& model, const Batch& batch) {
 }
 
 /// Compare analytic dL/dtheta against central differences on a sample of
-/// coordinates (stride keeps runtime bounded for big models). A ReLU or
-/// max-pool boundary inside [theta - eps, theta + eps] makes the loss kinked
-/// there: the two one-sided slopes disagree and the central difference
-/// matches neither. At such a coordinate the analytic gradient must match
-/// the one-sided slope on its own side, and kinks must stay a minority, so a
-/// wiring bug cannot hide behind them.
+/// coordinates (stride keeps runtime bounded for big models). The step is
+/// small so that a ReLU or max-pool boundary rarely falls inside
+/// [theta - eps, theta + eps]; float32 round-off stays far below tol there.
 void check_model_gradients(Model& model, const Batch& batch, double tol = 3e-3) {
   Tensor logits = model.forward(batch);
   LossResult loss = model.heads() == 1
@@ -47,11 +56,9 @@ void check_model_gradients(Model& model, const Batch& batch, double tol = 3e-3) 
   model.backward(loss.d_logits);
   std::vector<float> analytic = model.get_flat_gradients();
   std::vector<float> params = model.get_flat_parameters();
-  const double mid = loss_of(model, batch);
 
-  const float eps = 1e-3f;
+  const float eps = 1e-4f;
   std::size_t stride = std::max<std::size_t>(1, params.size() / 40);
-  std::size_t checked = 0, kinked = 0;
   for (std::size_t i = 0; i < params.size(); i += stride) {
     float saved = params[i];
     params[i] = saved + eps;
@@ -61,18 +68,9 @@ void check_model_gradients(Model& model, const Batch& batch, double tol = 3e-3) 
     model.set_flat_parameters(params);
     double down = loss_of(model, batch);
     params[i] = saved;
-    ++checked;
     double numeric = (up - down) / (2.0 * eps);
-    double right = (up - mid) / eps, left = (mid - down) / eps;
-    if (std::abs(right - left) > 2.0 * tol) {
-      ++kinked;
-      EXPECT_LE(std::min(std::abs(analytic[i] - right), std::abs(analytic[i] - left)), tol)
-          << "parameter index " << i << " (kinked: left " << left << ", right " << right << ")";
-      continue;
-    }
     EXPECT_NEAR(analytic[i], numeric, tol) << "parameter index " << i;
   }
-  EXPECT_LE(4 * kinked, checked) << kinked << " of " << checked << " coordinates kinked";
   model.set_flat_parameters(params);
 }
 
@@ -82,7 +80,7 @@ TEST(ModelGradCheck, DenseOnlyMlp) {
   cfg.dense_dim = 6;
   cfg.hidden = {8, 4};
   FeedForwardModel model(cfg);
-  model.init(rng);
+  init_off_zero(model, rng);
   check_model_gradients(model, mixed_batch(8, 6, 10, rng));
 }
 
@@ -96,7 +94,7 @@ TEST(ModelGradCheck, EmbeddingPlusDenseConcatenation) {
   cfg.dense_dim = 3;
   cfg.hidden = {6};
   FeedForwardModel model(cfg);
-  model.init(rng);
+  init_off_zero(model, rng);
   check_model_gradients(model, mixed_batch(6, 3, 12, rng));
 }
 
@@ -108,7 +106,7 @@ TEST(ModelGradCheck, EmbeddingOnly) {
   cfg.embed_dim = 4;
   cfg.hidden = {5};
   FeedForwardModel model(cfg);
-  model.init(rng);
+  init_off_zero(model, rng);
   // float32 mean-pooled lookups lose a little precision against double
   // central differences; allow a slightly wider band.
   check_model_gradients(model, mixed_batch(6, 0, 15, rng), /*tol=*/8e-3);
@@ -121,7 +119,7 @@ TEST(ModelGradCheck, MultiTaskHeads) {
   cfg.hidden = {6};
   cfg.heads = 2;
   FeedForwardModel model(cfg);
-  model.init(rng);
+  init_off_zero(model, rng);
   check_model_gradients(model, mixed_batch(6, 5, 10, rng));
 }
 
@@ -132,7 +130,7 @@ TEST(ModelGradCheck, HashingFrontEnd) {
   cfg.hash_buckets = 16;
   cfg.hidden = {6};
   FeedForwardModel model(cfg);
-  model.init(rng);
+  init_off_zero(model, rng);
   check_model_gradients(model, mixed_batch(6, 0, 40, rng));
 }
 
@@ -148,7 +146,7 @@ TEST(ModelGradCheck, ConvTextModel) {
   cfg.kernel = 2;
   cfg.hidden = {4};
   ConvTextModel model(cfg);
-  model.init(rng);
+  init_off_zero(model, rng);
   check_model_gradients(model, mixed_batch(5, 0, 20, rng), /*tol=*/1e-2);
 }
 

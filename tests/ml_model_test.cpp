@@ -97,17 +97,18 @@ TEST(FeedForwardModel, EmbeddingFrontEndWithDense) {
   cfg.vocab = 20;
   cfg.embed_dim = 6;
   cfg.dense_dim = 3;
-  // No hidden ReLU: with identical inputs a whole ReLU layer can start dead,
-  // which rightly zeroes the table gradient and would make this check
-  // depend on the init draw rather than on the front-end wiring.
-  cfg.hidden = {};
+  cfg.hidden = {5};
   FeedForwardModel model(cfg);
   model.init(rng);
+  // Distinct inputs: identical ones would share one ReLU pattern, and a
+  // draw that left it all dead would zero the table gradient.
   std::vector<Example> examples(3);
-  for (auto& e : examples) {
-    e.dense = {0.1f, 0.2f, 0.3f};
-    e.tokens = {1, 5, 7};
-  }
+  examples[0].dense = {0.1f, 0.2f, 0.3f};
+  examples[0].tokens = {1, 5, 7};
+  examples[1].dense = {-0.4f, 0.5f, -0.2f};
+  examples[1].tokens = {2, 9};
+  examples[2].dense = {0.3f, -0.6f, 0.1f};
+  examples[2].tokens = {4, 11, 13, 18};
   Batch batch = Batch::from_examples(examples, 3);
   Tensor out = model.forward(batch);
   EXPECT_EQ(out.rows(), 3u);
