@@ -7,8 +7,8 @@ in the file):
 
   pragma-once     every header under src/ starts its include guard with
                   `#pragma once`.
-  rng             no std::rand/srand/random_device or raw std::mt19937 outside
-                  util/rng — all randomness flows through the seeded,
+  rng             no std::rand/srand/random_device or raw std::mt19937
+                  anywhere — all randomness flows through the seeded,
                   forkable util::Rng so simulations stay reproducible.
   throw           library code throws only flint::util::CheckError (via the
                   FLINT_CHECK macros or explicitly); bare rethrow `throw;` is
@@ -68,7 +68,7 @@ from flint_analyze import strip_comments_and_strings
 
 SUPPRESS_RE = re.compile(r"//\s*flint-lint:\s*allow\(([a-z-]+)\)")
 
-# rng rule: forbidden outside util/rng.
+# rng rule: forbidden everywhere, util/rng included.
 RNG_FORBIDDEN = [
     (re.compile(r"\bstd::rand\b|\bsrand\s*\("), "std::rand/srand is unseeded global state"),
     (re.compile(r"\bstd::random_device\b"), "std::random_device breaks run reproducibility"),
@@ -126,7 +126,6 @@ def lint_file(path: Path) -> list[Finding]:
     code_text = strip_comments_and_strings(text)
     code_lines = code_text.splitlines()
     findings: list[Finding] = []
-    in_util_rng = path.name.startswith("rng.") and path.parent.name == "util"
     in_thread_pool = path.name.startswith("thread_pool.") and path.parent.name == "util"
     in_obs = "obs" in path.parts
     in_rpc = "rpc" in path.parts
@@ -145,10 +144,9 @@ def lint_file(path: Path) -> list[Finding]:
             continue
 
         # rng
-        if not in_util_rng:
-            for pattern, why in RNG_FORBIDDEN:
-                if pattern.search(line) and not suppressed("rng", lines, idx):
-                    findings.append(Finding(path, lineno, "rng", f"{why}; use util::Rng"))
+        for pattern, why in RNG_FORBIDDEN:
+            if pattern.search(line) and not suppressed("rng", lines, idx):
+                findings.append(Finding(path, lineno, "rng", f"{why}; use util::Rng"))
 
         # throw
         if THROW_RE.search(line) and not THROW_ALLOWED_RE.search(line):
