@@ -50,8 +50,8 @@ void BM_EmbeddingBagForward(benchmark::State& state) {
     for (auto& id : t) id = static_cast<std::int32_t>(rng.uniform_int(0, 9999));
   }
   for (auto _ : state) {
-    ml::Tensor out = bag.forward(tokens);
-    benchmark::DoNotOptimize(out);
+    const ml::Tensor& out = bag.forward(tokens);
+    benchmark::DoNotOptimize(out.flat().data());
   }
   state.SetItemsProcessed(state.iterations() * 32 * 16);
 }
@@ -203,6 +203,7 @@ struct KernelCase {
 constexpr std::size_t kVec = 4096;            // 16 KB of floats: L1-resident
 constexpr std::size_t kMat = 64;              // 64x64 matmul operands
 constexpr std::size_t kRows = 16, kDim = 64;  // gather/scatter shape
+constexpr std::size_t kAct = 16 * 32;         // one [batch 16, 32] activation
 
 // Shared scratch for the kernel cases. Static so the case table can use
 // plain function pointers; (re)initialized by run_kernel_sweep.
@@ -212,6 +213,7 @@ struct Scratch {
   std::vector<float> a, b, out;
   std::vector<float> table, rows;
   std::vector<std::int32_t> tokens;
+  std::vector<float> act;  ///< post-ReLU activations: about half exact zeros
 };
 Scratch& scratch() {
   static Scratch s;
@@ -237,7 +239,41 @@ void reset_scratch() {
   fill(s.rows, kRows * kDim);
   s.tokens.resize(kRows);
   for (auto& t : s.tokens) t = static_cast<std::int32_t>(rng.uniform_int(0, 1023));
+  fill(s.act, kMat * kMat);
+  for (float& v : s.act) v = v < 0.0f ? 0.0f : v;
 }
+
+// Training shapes of the case-study models (DESIGN.md §16.5): out is
+// [M, N] with inner dimension K, and the streamed operand holds post-ReLU
+// activations, whose zeros the accumulating kernels skip.
+template <std::size_t M, std::size_t K, std::size_t N>
+void run_matmul(const ml::kernels::KernelTable& k) {
+  auto& s = scratch();
+  std::fill_n(s.out.begin(), M * N, 0.0f);
+  k.matmul(s.act.data(), s.b.data(), s.out.data(), M, K, N);
+}
+
+template <std::size_t M, std::size_t K, std::size_t N>
+void run_transposed_matmul(const ml::kernels::KernelTable& k) {
+  auto& s = scratch();
+  std::fill_n(s.out.begin(), M * N, 0.0f);
+  k.transposed_matmul(s.act.data(), s.b.data(), s.out.data(), K, M, N);
+}
+
+template <std::size_t M, std::size_t K, std::size_t N>
+void run_matmul_transposed(const ml::kernels::KernelTable& k) {
+  auto& s = scratch();
+  k.matmul_transposed(s.a.data(), s.b.data(), s.out.data(), M, K, N);
+}
+
+/// The three matmul kernels at one training shape.
+#define FLINT_TRAINING_GEMMS(M, K, N)                                                   \
+  {"matmul_" #M "x" #K "x" #N, 4.0 * (M * K + K * N + 2 * M * N), 2.0 * M * K * N, 20000, \
+   run_matmul<M, K, N>},                                                                \
+      {"transposed_matmul_" #M "x" #K "x" #N, 4.0 * (M * K + K * N + 2 * M * N),        \
+       2.0 * M * K * N, 20000, run_transposed_matmul<M, K, N>},                         \
+      {"matmul_transposed_" #M "x" #K "x" #N, 4.0 * (M * K + K * N + M * N),            \
+       2.0 * M * K * N, 20000, run_matmul_transposed<M, K, N>}
 
 const KernelCase kKernelCases[] = {
     {"add", 3.0 * 4 * kVec, 1.0 * kVec, 2000,
@@ -314,6 +350,19 @@ const KernelCase kKernelCases[] = {
          k.scatter_add_rows(s.table.data(), kDim, s.tokens.data(), kRows, 1024,
                             s.rows.data() + r * kDim, 0.0625f);
      }},
+    {"relu_forward", 2.0 * 4 * kAct, 1.0 * kAct, 20000,
+     [](const ml::kernels::KernelTable& k) {
+       k.relu_forward(scratch().y.data(), scratch().x.data(), kAct);
+     }},
+    {"relu_backward", 3.0 * 4 * kAct, 1.0 * kAct, 20000,
+     [](const ml::kernels::KernelTable& k) {
+       k.relu_backward(scratch().y.data(), scratch().noise.data(), scratch().x.data(), kAct);
+     }},
+    FLINT_TRAINING_GEMMS(16, 16, 32),
+    FLINT_TRAINING_GEMMS(16, 32, 16),
+    FLINT_TRAINING_GEMMS(16, 16, 1),
+    FLINT_TRAINING_GEMMS(13, 16, 1),
+    FLINT_TRAINING_GEMMS(16, 1, 16),
 };
 
 void run_kernel_sweep(flint::bench::BenchArtifact& artifact) {

@@ -17,6 +17,7 @@
 // each spawned executor write their own trace into it, ready for
 // tools/flint_trace_merge.py (DESIGN.md §15). --status-out streams live
 // fleet status JSONL for tools/flint_top.py.
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -37,6 +38,7 @@
 
 int main(int argc, char** argv) {
   using namespace flint;
+  const auto start = std::chrono::steady_clock::now();
 
   std::string trace_out;
   std::string metrics_out;
@@ -299,6 +301,8 @@ int main(int argc, char** argv) {
   artifact.scalars = {{"centralized_metric", result.centralized_metric},
                       {"fl_metric_median", result.fl_metric},
                       {"performance_diff_pct", result.performance_diff_pct}};
+  artifact.wall_time_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   core::write_run_artifact(artifact_out, artifact);
   std::cout << "Run artifact written to " << artifact_out << "\n";
 

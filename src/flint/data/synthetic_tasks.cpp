@@ -282,8 +282,14 @@ double evaluate_examples(ml::Model& model, const std::vector<ml::Example>& examp
   // Each in-flight shard needs its own replica: forward() caches activation
   // state. Clones are made up front on the calling thread; the serial path
   // scores every shard on `model` itself.
-  auto replica = [&]() -> std::unique_ptr<ml::Model> {
-    return pool == nullptr ? nullptr : model.clone();
+  std::vector<std::unique_ptr<ml::Model>> replicas;
+  auto make_replicas = [&](std::size_t shards) {
+    if (pool == nullptr) return;
+    replicas.reserve(shards);
+    for (std::size_t i = 0; i < shards; ++i) replicas.push_back(model.clone());
+  };
+  auto replica = [&](std::size_t shard) -> ml::Model& {
+    return pool == nullptr ? model : *replicas[shard];
   };
   if (domain == Domain::kSearch) {
     // Group examples by ranking group id, score each group, mean NDCG@10.
@@ -298,9 +304,9 @@ double evaluate_examples(ml::Model& model, const std::vector<ml::Example>& examp
     constexpr std::size_t kGroupsPerShard = 64;
     std::size_t shards = (ordered.size() + kGroupsPerShard - 1) / kGroupsPerShard;
     std::vector<double> partial(shards, 0.0);
+    make_replicas(shards);
     run_shards(pool, shards, [&](std::size_t i) {
-      std::unique_ptr<ml::Model> owned = replica();
-      ml::Model& m = owned != nullptr ? *owned : model;
+      ml::Model& m = replica(i);
       std::size_t begin = i * kGroupsPerShard;
       std::size_t end = std::min(ordered.size(), begin + kGroupsPerShard);
       double sum = 0.0;
@@ -332,9 +338,9 @@ double evaluate_examples(ml::Model& model, const std::vector<ml::Example>& examp
   std::vector<float> scores(examples.size()), labels(examples.size());
   constexpr std::size_t kShardSpan = kBatch * kBatchesPerShard;
   std::size_t shards = (examples.size() + kShardSpan - 1) / kShardSpan;
+  make_replicas(shards);
   run_shards(pool, shards, [&](std::size_t i) {
-    std::unique_ptr<ml::Model> owned = replica();
-    ml::Model& m = owned != nullptr ? *owned : model;
+    ml::Model& m = replica(i);
     std::size_t shard_end = std::min(examples.size(), (i + 1) * kShardSpan);
     for (std::size_t start = i * kShardSpan; start < shard_end; start += kBatch) {
       std::size_t end = std::min(shard_end, start + kBatch);

@@ -4,6 +4,7 @@
 
 #include "flint/ml/kernels/kernels.h"
 #include "flint/ml/loss.h"
+#include "flint/ml/optimizer.h"
 #include "flint/obs/telemetry.h"
 #include "flint/util/check.h"
 
@@ -16,22 +17,19 @@ LocalTrainer::LocalTrainer(std::unique_ptr<ml::Model> model, std::size_t dense_d
 
 double LocalTrainer::train_classification(std::span<const ml::Example* const> data,
                                           const LocalTrainConfig& config,
+                                          const std::vector<ml::Parameter*>& params,
                                           ml::SgdOptimizer& opt) {
   double total_loss = 0.0;
   std::size_t steps = 0;
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     for (std::size_t start = 0; start < data.size(); start += config.batch_size) {
       std::size_t end = std::min(data.size(), start + config.batch_size);
-      ml::Batch batch = ml::Batch::from_examples(data.subspan(start, end - start), dense_dim_);
-      ml::Tensor logits = model_->forward(batch);
+      batch_.assign(data.subspan(start, end - start), dense_dim_);
+      ml::Tensor logits = model_->forward(batch_);
       ml::LossResult loss = model_->heads() == 1
-                                ? ml::bce_with_logits(logits, batch.labels)
-                                : ml::multitask_bce(logits, {batch.labels, batch.labels2});
-      model_->zero_grad();
-      model_->backward(loss.d_logits);
-      if (config.clip_norm > 0.0) ml::clip_gradients(model_->parameters(), config.clip_norm);
-      if (config.prox_mu > 0.0) add_proximal_gradient(config.prox_mu);
-      opt.step(model_->parameters(), config.lr);
+                                ? ml::bce_with_logits(logits, batch_.labels)
+                                : ml::multitask_bce(logits, {batch_.labels, batch_.labels2});
+      step(loss.d_logits, config, params, opt);
       total_loss += loss.loss;
       ++steps;
     }
@@ -40,7 +38,9 @@ double LocalTrainer::train_classification(std::span<const ml::Example* const> da
 }
 
 double LocalTrainer::train_ranking(std::span<const ml::Example* const> data,
-                                   const LocalTrainConfig& config, ml::SgdOptimizer& opt) {
+                                   const LocalTrainConfig& config,
+                                   const std::vector<ml::Parameter*>& params,
+                                   ml::SgdOptimizer& opt) {
   // Group candidates by ranking group; each group is one SGD step. One
   // stable sort of example pointers (ascending group, original order within
   // a group) into a reused scratch buffer; the groups are spans of it.
@@ -65,15 +65,10 @@ double LocalTrainer::train_ranking(std::span<const ml::Example* const> data,
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     for (const GroupSpan& g : groups) {
       if (g.size < 2) continue;
-      std::span<const ml::Example* const> members = grouped.subspan(g.begin, g.size);
-      ml::Batch batch = ml::Batch::from_examples(members, dense_dim_);
-      ml::Tensor logits = model_->forward(batch);
-      ml::LossResult loss = ml::pairwise_ranking_loss(logits, batch.labels);
-      model_->zero_grad();
-      model_->backward(loss.d_logits);
-      if (config.clip_norm > 0.0) ml::clip_gradients(model_->parameters(), config.clip_norm);
-      if (config.prox_mu > 0.0) add_proximal_gradient(config.prox_mu);
-      opt.step(model_->parameters(), config.lr);
+      batch_.assign(grouped.subspan(g.begin, g.size), dense_dim_);
+      ml::Tensor logits = model_->forward(batch_);
+      ml::LossResult loss = ml::pairwise_ranking_loss(logits, batch_.labels);
+      step(loss.d_logits, config, params, opt);
       total_loss += loss.loss;
       ++steps;
     }
@@ -81,13 +76,23 @@ double LocalTrainer::train_ranking(std::span<const ml::Example* const> data,
   return steps == 0 ? 0.0 : total_loss / static_cast<double>(steps);
 }
 
-void LocalTrainer::add_proximal_gradient(double mu) {
+void LocalTrainer::step(const ml::Tensor& d_logits, const LocalTrainConfig& config,
+                        const std::vector<ml::Parameter*>& params, ml::SgdOptimizer& opt) {
+  ml::zero_grad(params);
+  model_->backward(d_logits);
+  if (config.clip_norm > 0.0) ml::clip_gradients(params, config.clip_norm);
+  if (config.prox_mu > 0.0) add_proximal_gradient(params, config.prox_mu);
+  opt.step(params, config.lr);
+}
+
+void LocalTrainer::add_proximal_gradient(const std::vector<ml::Parameter*>& params, double mu) {
   std::size_t offset = 0;
-  for (ml::Parameter* p : model_->parameters()) {
+  for (ml::Parameter* p : params) {
     auto value = p->value.flat();
     auto grad = p->grad.flat();
     for (std::size_t i = 0; i < value.size(); ++i)
       grad[i] += static_cast<float>(mu) * (value[i] - prox_anchor_[offset + i]);
+    p->grad_rows.invalidate();
     offset += value.size();
   }
 }
@@ -112,10 +117,11 @@ LocalTrainResult LocalTrainer::train(std::span<const ml::Example* const> data,
   model_->set_flat_parameters(global_params);
   if (config.prox_mu > 0.0) prox_anchor_.assign(global_params.begin(), global_params.end());
   ml::SgdOptimizer opt(config.momentum, 0.0);
+  const std::vector<ml::Parameter*> params = model_->parameters();
 
   double mean_loss = (config.loss == data::LossKind::kPairwiseRanking)
-                         ? train_ranking(data, config, opt)
-                         : train_classification(data, config, opt);
+                         ? train_ranking(data, config, params, opt)
+                         : train_classification(data, config, params, opt);
 
   LocalTrainResult result;
   result.mean_loss = mean_loss;

@@ -55,20 +55,26 @@ class LocalTrainer {
 
  private:
   double train_classification(std::span<const ml::Example* const> data,
-                              const LocalTrainConfig& config, ml::SgdOptimizer& opt);
+                              const LocalTrainConfig& config,
+                              const std::vector<ml::Parameter*>& params, ml::SgdOptimizer& opt);
   double train_ranking(std::span<const ml::Example* const> data, const LocalTrainConfig& config,
-                       ml::SgdOptimizer& opt);
+                       const std::vector<ml::Parameter*>& params, ml::SgdOptimizer& opt);
+  /// One SGD step from the loss gradient of the current batch.
+  void step(const ml::Tensor& d_logits, const LocalTrainConfig& config,
+            const std::vector<ml::Parameter*>& params, ml::SgdOptimizer& opt);
   /// Add mu*(w - w_anchor) to the accumulated gradients (FedProx).
-  void add_proximal_gradient(double mu);
+  void add_proximal_gradient(const std::vector<ml::Parameter*>& params, double mu);
 
   std::unique_ptr<ml::Model> model_;
   std::size_t dense_dim_;
   std::vector<float> prox_anchor_;  ///< global params for the current call
-  // Scratch reused across train() calls so repeat clients don't re-pay the
-  // allocations (capacity persists; contents are per-call): the pointer view
-  // of a contiguous dataset, and the ranking path's group-sorted view.
+  // Scratch reused across steps and train() calls so repeat clients don't
+  // re-pay the allocations (capacity persists; contents are per-call): the
+  // pointer view of a contiguous dataset, the ranking path's group-sorted
+  // view, and the mini-batch.
   std::vector<const ml::Example*> view_;
   std::vector<const ml::Example*> ranking_grouped_;
+  ml::Batch batch_;
 };
 
 /// Centralized baseline: epochs of shuffled mini-batch SGD over the merged

@@ -3,6 +3,7 @@
 // ids (consumed by embedding or hashing front-ends), and labels.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -33,38 +34,45 @@ struct Batch {
   /// Build a batch; every example's dense vector must have length dense_dim
   /// (use 0 for models with no dense features).
   static Batch from_examples(std::span<const Example> examples, std::size_t dense_dim) {
-    return gather(examples.size(), dense_dim,
-                  [examples](std::size_t i) -> const Example& { return examples[i]; });
+    Batch b;
+    b.fill(examples.size(), dense_dim,
+           [examples](std::size_t i) -> const Example& { return examples[i]; });
+    return b;
   }
 
   /// The same, gathered through pointers: a permuted or grouped view of
   /// examples stored elsewhere, batched without copying the examples first.
   static Batch from_examples(std::span<const Example* const> examples, std::size_t dense_dim) {
-    return gather(examples.size(), dense_dim,
-                  [examples](std::size_t i) -> const Example& { return *examples[i]; });
+    Batch b;
+    b.assign(examples, dense_dim);
+    return b;
+  }
+
+  /// Refill this batch in place, reusing its buffers' capacity.
+  void assign(std::span<const Example* const> examples, std::size_t dense_dim) {
+    fill(examples.size(), dense_dim,
+         [examples](std::size_t i) -> const Example& { return *examples[i]; });
   }
 
  private:
   template <typename At>
-  static Batch gather(std::size_t n, std::size_t dense_dim, At at) {
-    Batch b;
-    b.dense = Tensor(n, dense_dim == 0 ? 1 : dense_dim);
-    if (dense_dim == 0) b.dense.zero();
-    b.tokens.reserve(n);
-    b.labels.reserve(n);
-    b.labels2.reserve(n);
+  void fill(std::size_t n, std::size_t dense_dim, At at) {
+    dense.resize(n, dense_dim == 0 ? 1 : dense_dim);
+    if (dense_dim == 0) dense.zero();
+    tokens.resize(n);
+    labels.resize(n);
+    labels2.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       const Example& e = at(i);
       if (dense_dim > 0) {
         FLINT_CHECK_MSG(e.dense.size() == dense_dim,
                         "example dense dim " << e.dense.size() << " != batch dim " << dense_dim);
-        for (std::size_t j = 0; j < dense_dim; ++j) b.dense.at(i, j) = e.dense[j];
+        std::copy(e.dense.begin(), e.dense.end(), dense.row(i).begin());
       }
-      b.tokens.push_back(e.tokens);
-      b.labels.push_back(e.label);
-      b.labels2.push_back(e.label2);
+      tokens[i].assign(e.tokens.begin(), e.tokens.end());
+      labels[i] = e.label;
+      labels2[i] = e.label2;
     }
-    return b;
   }
 };
 

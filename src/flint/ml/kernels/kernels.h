@@ -11,10 +11,11 @@
 // Determinism contract (why tests may pin a path):
 //  * Elementwise kernels (add/sub/scale/axpy/scale_add, the SGD and server
 //    momentum steps, gather/scatter, weighted_accum, mean_from_sums,
-//    max_abs, matmul, transposed_matmul) are BIT-IDENTICAL across paths:
-//    every implementation performs the same per-element multiply-then-add
-//    sequence in the same order, with FMA contraction disabled in each
-//    kernel TU (-ffp-contract=off), so each float op rounds exactly once.
+//    max_abs, the ReLU pair, matmul, transposed_matmul) are BIT-IDENTICAL
+//    across paths: every implementation performs the same per-element
+//    multiply-then-add sequence in the same order, with FMA contraction
+//    disabled in each kernel TU (-ffp-contract=off), so each float op rounds
+//    exactly once.
 //  * Sequential double reductions (sum_squares, and the dot products inside
 //    matmul_transposed) use multiple accumulators in the SIMD paths. Their
 //    double values differ from the scalar path at the ~n·ε_double level;
@@ -67,10 +68,16 @@ struct KernelTable {
   void (*mean_from_sums)(float* out, const double* sum, double inv, std::size_t n);
   /// max_i |x[i]| (0 for n == 0); order-independent, exact across paths.
   float (*max_abs)(const float* x, std::size_t n);
+  /// out[i] = x[i] < 0 ? +0.0f : x[i]  (-0.0f and NaN pass through unchanged)
+  void (*relu_forward)(float* out, const float* x, std::size_t n);
+  /// d_in[i] = y[i] <= 0 ? +0.0f : d_out[i], where y is the forward input or
+  /// output (the two agree on y <= 0). d_in may alias d_out.
+  void (*relu_backward)(float* d_in, const float* d_out, const float* y, std::size_t n);
 
   // --- matmul family ------------------------------------------------------
   /// out[m,n] += a[m,k] * b[k,n], ikj order; rank-1 updates with a == 0 are
-  /// skipped (preserves signed zeros exactly as the scalar loop does).
+  /// skipped, which leaves `out` untouched there even when b holds an inf or
+  /// NaN (and keeps a -0.0f in `out`, which adding 0.0f would flip).
   /// Bit-identical across paths: per output element the k-accumulation order
   /// is unchanged and every step is one rounded mul + one rounded add.
   void (*matmul)(const float* a, const float* b, float* out, std::size_t m, std::size_t k,

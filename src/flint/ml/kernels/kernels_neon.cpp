@@ -142,6 +142,28 @@ float n_max_abs(const float* x, std::size_t n) {
   return m;
 }
 
+void n_relu_forward(float* out, const float* x, std::size_t n) {
+  const float32x4_t zero = vdupq_n_f32(0.0f);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    float32x4_t v = vld1q_f32(x + i);
+    uint32x4_t neg = vcltq_f32(v, zero);
+    vst1q_f32(out + i, vreinterpretq_f32_u32(vbicq_u32(vreinterpretq_u32_f32(v), neg)));
+  }
+  for (; i < n; ++i) out[i] = x[i] < 0.0f ? 0.0f : x[i];
+}
+
+void n_relu_backward(float* d_in, const float* d_out, const float* y, std::size_t n) {
+  const float32x4_t zero = vdupq_n_f32(0.0f);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    uint32x4_t dead = vcleq_f32(vld1q_f32(y + i), zero);
+    uint32x4_t g = vreinterpretq_u32_f32(vld1q_f32(d_out + i));
+    vst1q_f32(d_in + i, vreinterpretq_f32_u32(vbicq_u32(g, dead)));
+  }
+  for (; i < n; ++i) d_in[i] = y[i] <= 0.0f ? 0.0f : d_out[i];
+}
+
 void n_matmul(const float* a, const float* b, float* out, std::size_t m, std::size_t k,
               std::size_t n) {
   // Same register-blocked ikj scheme as the AVX2 path (see kernels_avx2.cpp
@@ -274,6 +296,8 @@ constexpr KernelTable kNeonTable = {
     n_weighted_accum,
     n_mean_from_sums,
     n_max_abs,
+    n_relu_forward,
+    n_relu_backward,
     n_matmul,
     n_transposed_matmul,
     n_matmul_transposed,

@@ -73,6 +73,14 @@ float s_max_abs(const float* x, std::size_t n) {
   return m;
 }
 
+void s_relu_forward(float* out, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] < 0.0f ? 0.0f : x[i];
+}
+
+void s_relu_backward(float* d_in, const float* d_out, const float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) d_in[i] = y[i] <= 0.0f ? 0.0f : d_out[i];
+}
+
 void s_matmul(const float* a, const float* b, float* out, std::size_t m, std::size_t k,
               std::size_t n) {
   for (std::size_t i = 0; i < m; ++i) {
@@ -156,6 +164,8 @@ constexpr KernelTable kScalarTable = {
     s_weighted_accum,
     s_mean_from_sums,
     s_max_abs,
+    s_relu_forward,
+    s_relu_backward,
     s_matmul,
     s_transposed_matmul,
     s_matmul_transposed,

@@ -20,31 +20,56 @@ void xavier_init(Tensor& w, std::size_t fan_in, std::size_t fan_out, util::Rng& 
 
 // ---------------------------------------------------------------- DenseLayer
 
-DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim)
-    : in_dim_(in_dim), out_dim_(out_dim), weight_(in_dim, out_dim), bias_(1, out_dim) {
+DenseLayer::DenseLayer(std::size_t in_dim, std::size_t out_dim, bool input_grad)
+    : in_dim_(in_dim),
+      out_dim_(out_dim),
+      input_grad_(input_grad),
+      weight_(in_dim, out_dim),
+      bias_(1, out_dim) {
   FLINT_CHECK(in_dim > 0 && out_dim > 0);
 }
 
-Tensor DenseLayer::forward(const Tensor& input) {
+std::unique_ptr<Layer> DenseLayer::clone() const {
+  auto copy = std::make_unique<DenseLayer>(in_dim_, out_dim_, input_grad_);
+  copy->weight_ = weight_;
+  copy->bias_ = bias_;
+  return copy;
+}
+
+const Tensor& DenseLayer::forward(const Tensor& input) {
   FLINT_CHECK_MSG(input.cols() == in_dim_,
                   "dense layer expects " << in_dim_ << " inputs, got " << input.cols());
   last_input_ = input;
-  Tensor out = input.matmul(weight_.value);
+  const std::size_t n = input.rows();
+  out_.resize(n, out_dim_);
+  out_.zero();
   const auto& k = kernels::active();
+  k.matmul(input.flat().data(), weight_.value.flat().data(), out_.flat().data(), n, in_dim_,
+           out_dim_);
   auto bias = bias_.value.flat();
-  for (std::size_t i = 0; i < out.rows(); ++i) k.add(out.row(i).data(), bias.data(), out_dim_);
-  return out;
+  for (std::size_t i = 0; i < n; ++i) k.add(out_.row(i).data(), bias.data(), out_dim_);
+  return out_;
 }
 
-Tensor DenseLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.rows() == last_input_.rows() && d_output.cols() == out_dim_);
-  // dW += X^T dY;  db += column sums of dY;  dX = dY W^T.
-  weight_.grad += last_input_.transposed_matmul(d_output);
+const Tensor& DenseLayer::backward(const Tensor& d_output) {
+  const std::size_t n = last_input_.rows();
+  FLINT_CHECK(d_output.rows() == n && d_output.cols() == out_dim_);
+  // dW += X^T dY;  db += column sums of dY;  dX = dY W^T. X^T dY is summed
+  // on its own first, so dW rounds as one add of a fresh product.
   const auto& k = kernels::active();
+  d_weight_.resize(in_dim_, out_dim_);
+  d_weight_.zero();
+  k.transposed_matmul(last_input_.flat().data(), d_output.flat().data(),
+                      d_weight_.flat().data(), n, in_dim_, out_dim_);
+  weight_.grad += d_weight_;
   auto bias_grad = bias_.grad.flat();
-  for (std::size_t i = 0; i < d_output.rows(); ++i)
+  for (std::size_t i = 0; i < n; ++i)
     k.add(bias_grad.data(), d_output.row(i).data(), out_dim_);
-  return d_output.matmul_transposed(weight_.value);
+  if (!input_grad_) return d_input_;
+  d_input_.resize(n, in_dim_);
+  k.matmul_transposed(d_output.flat().data(), weight_.value.flat().data(),
+                      d_input_.flat().data(), n, out_dim_, in_dim_);
+  return d_input_;
 }
 
 void DenseLayer::init(util::Rng& rng) {
@@ -54,58 +79,58 @@ void DenseLayer::init(util::Rng& rng) {
 
 // ----------------------------------------------------------------- ReluLayer
 
-Tensor ReluLayer::forward(const Tensor& input) {
-  last_input_ = input;
-  Tensor out = input;
-  for (float& v : out.flat())
-    if (v < 0.0f) v = 0.0f;
-  return out;
+const Tensor& ReluLayer::forward(const Tensor& input) {
+  out_.resize(input.rows(), input.cols());
+  kernels::active().relu_forward(out_.flat().data(), input.flat().data(), input.size());
+  return out_;
 }
 
-Tensor ReluLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.same_shape(last_input_));
-  Tensor din = d_output;
-  auto in = last_input_.flat();
-  auto g = din.flat();
-  for (std::size_t i = 0; i < g.size(); ++i)
-    if (in[i] <= 0.0f) g[i] = 0.0f;
-  return din;
+const Tensor& ReluLayer::backward(const Tensor& d_output) {
+  FLINT_CHECK(d_output.same_shape(out_));
+  d_input_.resize(out_.rows(), out_.cols());
+  kernels::active().relu_backward(d_input_.flat().data(), d_output.flat().data(),
+                                  out_.flat().data(), out_.size());
+  return d_input_;
 }
 
 // -------------------------------------------------------------- SigmoidLayer
 
-Tensor SigmoidLayer::forward(const Tensor& input) {
-  Tensor out = input;
-  for (float& v : out.flat()) v = 1.0f / (1.0f + std::exp(-v));
-  last_output_ = out;
-  return out;
+const Tensor& SigmoidLayer::forward(const Tensor& input) {
+  out_.resize(input.rows(), input.cols());
+  auto in = input.flat();
+  auto y = out_.flat();
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = 1.0f / (1.0f + std::exp(-in[i]));
+  return out_;
 }
 
-Tensor SigmoidLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.same_shape(last_output_));
-  Tensor din = d_output;
-  auto y = last_output_.flat();
-  auto g = din.flat();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= y[i] * (1.0f - y[i]);
-  return din;
+const Tensor& SigmoidLayer::backward(const Tensor& d_output) {
+  FLINT_CHECK(d_output.same_shape(out_));
+  d_input_.resize(out_.rows(), out_.cols());
+  auto y = out_.flat();
+  auto g = d_output.flat();
+  auto d = d_input_.flat();
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] = g[i] * (y[i] * (1.0f - y[i]));
+  return d_input_;
 }
 
 // ----------------------------------------------------------------- TanhLayer
 
-Tensor TanhLayer::forward(const Tensor& input) {
-  Tensor out = input;
-  for (float& v : out.flat()) v = std::tanh(v);
-  last_output_ = out;
-  return out;
+const Tensor& TanhLayer::forward(const Tensor& input) {
+  out_.resize(input.rows(), input.cols());
+  auto in = input.flat();
+  auto y = out_.flat();
+  for (std::size_t i = 0; i < y.size(); ++i) y[i] = std::tanh(in[i]);
+  return out_;
 }
 
-Tensor TanhLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.same_shape(last_output_));
-  Tensor din = d_output;
-  auto y = last_output_.flat();
-  auto g = din.flat();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= 1.0f - y[i] * y[i];
-  return din;
+const Tensor& TanhLayer::backward(const Tensor& d_output) {
+  FLINT_CHECK(d_output.same_shape(out_));
+  d_input_.resize(out_.rows(), out_.cols());
+  auto y = out_.flat();
+  auto g = d_output.flat();
+  auto d = d_input_.flat();
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] = g[i] * (1.0f - y[i] * y[i]);
+  return d_input_;
 }
 
 // --------------------------------------------------------- EmbeddingBagLayer
@@ -113,28 +138,46 @@ Tensor TanhLayer::backward(const Tensor& d_output) {
 EmbeddingBagLayer::EmbeddingBagLayer(std::size_t vocab, std::size_t dim)
     : vocab_(vocab), dim_(dim), table_(vocab, dim) {
   FLINT_CHECK(vocab > 0 && dim > 0);
+  table_.grad_rows.track(vocab);
 }
 
-Tensor EmbeddingBagLayer::forward(const std::vector<std::vector<std::int32_t>>& tokens) {
-  last_tokens_ = tokens;
-  Tensor out(tokens.size(), dim_);
+EmbeddingBagLayer EmbeddingBagLayer::clone() const {
+  EmbeddingBagLayer copy(vocab_, dim_);
+  copy.table_ = table_;
+  return copy;
+}
+
+const Tensor& EmbeddingBagLayer::forward(const std::vector<std::vector<std::int32_t>>& tokens) {
+  last_tokens_.clear();
+  last_offsets_.assign(1, 0);
+  for (const auto& sample : tokens) {
+    last_tokens_.insert(last_tokens_.end(), sample.begin(), sample.end());
+    last_offsets_.push_back(last_tokens_.size());
+  }
+  out_.resize(tokens.size(), dim_);
+  out_.zero();
   const auto& k = kernels::active();
   auto table = table_.value.flat();
   for (std::size_t i = 0; i < tokens.size(); ++i)
     k.gather_mean_rows(table.data(), dim_, tokens[i].data(), tokens[i].size(), vocab_,
-                       out.row(i).data());
-  return out;
+                       out_.row(i).data());
+  return out_;
 }
 
 void EmbeddingBagLayer::backward(const Tensor& d_output) {
-  FLINT_CHECK(d_output.rows() == last_tokens_.size() && d_output.cols() == dim_);
+  const std::size_t n = last_offsets_.size() - 1;
+  FLINT_CHECK(d_output.rows() == n && d_output.cols() == dim_);
   const auto& k = kernels::active();
   auto grad_table = table_.grad.flat();
-  for (std::size_t i = 0; i < last_tokens_.size(); ++i) {
-    if (last_tokens_[i].empty()) continue;
-    float inv = 1.0f / static_cast<float>(last_tokens_[i].size());
-    k.scatter_add_rows(grad_table.data(), dim_, last_tokens_[i].data(),
-                       last_tokens_[i].size(), vocab_, d_output.row(i).data(), inv);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t count = last_offsets_[i + 1] - last_offsets_[i];
+    if (count == 0) continue;
+    const std::int32_t* ids = last_tokens_.data() + last_offsets_[i];
+    float inv = 1.0f / static_cast<float>(count);
+    k.scatter_add_rows(grad_table.data(), dim_, ids, count, vocab_, d_output.row(i).data(), inv);
+    for (std::size_t t = 0; t < count; ++t)
+      table_.grad_rows.mark(static_cast<std::size_t>(
+          std::clamp<std::int64_t>(ids[t], 0, static_cast<std::int64_t>(vocab_) - 1)));
   }
 }
 
@@ -180,17 +223,24 @@ Conv1dMaxPoolLayer::Conv1dMaxPoolLayer(std::size_t seq_len, std::size_t in_ch,
   FLINT_CHECK(kernel > 0 && kernel <= seq_len);
 }
 
-Tensor Conv1dMaxPoolLayer::forward(const Tensor& input) {
+std::unique_ptr<Layer> Conv1dMaxPoolLayer::clone() const {
+  auto copy = std::make_unique<Conv1dMaxPoolLayer>(seq_len_, in_ch_, out_ch_, kernel_);
+  copy->kernel_w_ = kernel_w_;
+  copy->kernel_b_ = kernel_b_;
+  return copy;
+}
+
+const Tensor& Conv1dMaxPoolLayer::forward(const Tensor& input) {
   FLINT_CHECK_MSG(input.cols() == seq_len_ * in_ch_,
                   "conv1d expects " << seq_len_ * in_ch_ << " inputs, got " << input.cols());
   last_input_ = input;
   std::size_t n = input.rows();
   std::size_t positions = seq_len_ - kernel_ + 1;
-  Tensor out(n, out_ch_);
+  out_.resize(n, out_ch_);
   last_argmax_.assign(n * out_ch_, 0);
   for (std::size_t s = 0; s < n; ++s) {
     auto in = input.row(s);
-    auto o = out.row(s);
+    auto o = out_.row(s);
     for (std::size_t c = 0; c < out_ch_; ++c)
       o[c] = -std::numeric_limits<float>::infinity();
     for (std::size_t p = 0; p < positions; ++p) {
@@ -207,16 +257,17 @@ Tensor Conv1dMaxPoolLayer::forward(const Tensor& input) {
       }
     }
   }
-  return out;
+  return out_;
 }
 
-Tensor Conv1dMaxPoolLayer::backward(const Tensor& d_output) {
+const Tensor& Conv1dMaxPoolLayer::backward(const Tensor& d_output) {
   FLINT_CHECK(d_output.rows() == last_input_.rows() && d_output.cols() == out_ch_);
-  Tensor din(last_input_.rows(), last_input_.cols());
+  d_input_.resize(last_input_.rows(), last_input_.cols());
+  d_input_.zero();
   for (std::size_t s = 0; s < last_input_.rows(); ++s) {
     auto in = last_input_.row(s);
     auto g = d_output.row(s);
-    auto gi = din.row(s);
+    auto gi = d_input_.row(s);
     for (std::size_t c = 0; c < out_ch_; ++c) {
       float go = g[c];
       if (go == 0.0f) continue;
@@ -230,7 +281,7 @@ Tensor Conv1dMaxPoolLayer::backward(const Tensor& d_output) {
       kernel_b_.grad[c] += go;
     }
   }
-  return din;
+  return d_input_;
 }
 
 void Conv1dMaxPoolLayer::init(util::Rng& rng) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "flint/ml/optimizer.h"
+
 namespace flint::ml {
 
 // -------------------------------------------------------------------- Model
@@ -52,9 +54,7 @@ std::vector<float> Model::get_flat_gradients() {
   return out;
 }
 
-void Model::zero_grad() {
-  for (Parameter* p : parameters()) p->grad.zero();
-}
+void Model::zero_grad() { ml::zero_grad(parameters()); }
 
 // --------------------------------------------------------- FeedForwardModel
 
@@ -73,17 +73,23 @@ FeedForwardModel::FeedForwardModel(FeedForwardConfig config) : config_(std::move
       hashing_ = std::make_unique<HashedBagLayer>(config_.hash_buckets);
       break;
   }
+  // Only the embedding table consumes the trunk's input gradient; dense
+  // features and the hashing front end have none, so the first dense layer
+  // skips computing it.
+  bool input_grad = config_.front_end == FrontEnd::kEmbedding;
   std::size_t dim = trunk_input_dim();
   for (std::size_t width : config_.hidden) {
-    trunk_.push_back(std::make_unique<DenseLayer>(dim, width));
+    trunk_.push_back(std::make_unique<DenseLayer>(dim, width, input_grad));
     trunk_.push_back(std::make_unique<ReluLayer>());
     dim = width;
+    input_grad = true;
   }
-  trunk_.push_back(std::make_unique<DenseLayer>(dim, config_.heads));
+  trunk_.push_back(std::make_unique<DenseLayer>(dim, config_.heads, input_grad));
 }
 
 FeedForwardModel::FeedForwardModel(const FeedForwardModel& other) : config_(other.config_) {
-  if (other.embedding_) embedding_ = std::make_unique<EmbeddingBagLayer>(*other.embedding_);
+  if (other.embedding_)
+    embedding_ = std::make_unique<EmbeddingBagLayer>(other.embedding_->clone());
   if (other.hashing_) hashing_ = std::make_unique<HashedBagLayer>(*other.hashing_);
   trunk_.reserve(other.trunk_.size());
   for (const auto& layer : other.trunk_) trunk_.push_back(layer->clone());
@@ -100,49 +106,47 @@ std::size_t FeedForwardModel::trunk_input_dim() const {
 Tensor FeedForwardModel::forward(const Batch& batch) {
   std::size_t n = batch.size();
   last_batch_size_ = n;
-  Tensor activ;
-  if (config_.front_end == FrontEnd::kNone) {
-    activ = batch.dense;
-    last_had_tokens_ = false;
-  } else {
-    Tensor front = (config_.front_end == FrontEnd::kEmbedding)
-                       ? embedding_->forward(batch.tokens)
-                       : hashing_->forward(batch.tokens);
-    last_had_tokens_ = true;
-    if (config_.dense_dim == 0) {
-      activ = std::move(front);
-    } else {
+  const Tensor* activ = &batch.dense;
+  last_had_tokens_ = config_.front_end != FrontEnd::kNone;
+  if (last_had_tokens_) {
+    if (config_.front_end == FrontEnd::kHashing) hashed_ = hashing_->forward(batch.tokens);
+    const Tensor& front = config_.front_end == FrontEnd::kEmbedding
+                              ? embedding_->forward(batch.tokens)
+                              : hashed_;
+    activ = &front;
+    if (config_.dense_dim > 0) {
       // Concatenate [front | dense].
-      activ = Tensor(n, front.cols() + config_.dense_dim);
+      concat_.resize(n, front.cols() + config_.dense_dim);
       for (std::size_t i = 0; i < n; ++i) {
-        auto o = activ.row(i);
+        auto o = concat_.row(i);
         auto f = front.row(i);
         auto d = batch.dense.row(i);
         std::copy(f.begin(), f.end(), o.begin());
         std::copy(d.begin(), d.end(), o.begin() + static_cast<std::ptrdiff_t>(front.cols()));
       }
+      activ = &concat_;
     }
   }
-  for (auto& layer : trunk_) activ = layer->forward(activ);
-  return activ;
+  for (auto& layer : trunk_) activ = &layer->forward(*activ);
+  return *activ;
 }
 
 void FeedForwardModel::backward(const Tensor& d_logits) {
-  Tensor grad = d_logits;
-  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it) grad = (*it)->backward(grad);
+  const Tensor* grad = &d_logits;
+  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it) grad = &(*it)->backward(*grad);
   if (config_.front_end == FrontEnd::kEmbedding && last_had_tokens_) {
     if (config_.dense_dim == 0) {
-      embedding_->backward(grad);
+      embedding_->backward(*grad);
     } else {
       // Slice off the embedding part of the concatenated gradient.
-      Tensor front_grad(last_batch_size_, config_.embed_dim);
+      front_grad_.resize(last_batch_size_, config_.embed_dim);
       for (std::size_t i = 0; i < last_batch_size_; ++i) {
-        auto g = grad.row(i);
-        auto fg = front_grad.row(i);
+        auto g = grad->row(i);
+        auto fg = front_grad_.row(i);
         std::copy(g.begin(), g.begin() + static_cast<std::ptrdiff_t>(config_.embed_dim),
                   fg.begin());
       }
-      embedding_->backward(front_grad);
+      embedding_->backward(front_grad_);
     }
   }
   // Hashing front end has no trainable parameters; gradient stops there.
@@ -191,8 +195,8 @@ ConvTextModel::ConvTextModel(const ConvTextModel& other)
 Tensor ConvTextModel::forward(const Batch& batch) {
   std::size_t n = batch.size();
   // Pad/truncate token lists to seq_len; id 0 doubles as padding/OOV.
-  last_padded_.assign(n, {});
-  Tensor activ(n, config_.seq_len * config_.embed_dim);
+  last_padded_.resize(n);
+  input_.resize(n, config_.seq_len * config_.embed_dim);
   for (std::size_t i = 0; i < n; ++i) {
     auto& padded = last_padded_[i];
     padded.assign(config_.seq_len, 0);
@@ -200,19 +204,22 @@ Tensor ConvTextModel::forward(const Batch& batch) {
       padded[j] = std::clamp<std::int32_t>(batch.tokens[i][j], 0,
                                            static_cast<std::int32_t>(config_.vocab) - 1);
     }
-    auto o = activ.row(i);
+    auto o = input_.row(i);
     for (std::size_t p = 0; p < config_.seq_len; ++p) {
       auto e = embedding_.value.row(static_cast<std::size_t>(padded[p]));
       std::copy(e.begin(), e.end(), o.begin() + static_cast<std::ptrdiff_t>(p * config_.embed_dim));
     }
   }
-  for (auto& layer : trunk_) activ = layer->forward(activ);
-  return activ;
+  const Tensor* activ = &input_;
+  for (auto& layer : trunk_) activ = &layer->forward(*activ);
+  return *activ;
 }
 
 void ConvTextModel::backward(const Tensor& d_logits) {
-  Tensor grad = d_logits;
-  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it) grad = (*it)->backward(grad);
+  const Tensor* grad_ptr = &d_logits;
+  for (auto it = trunk_.rbegin(); it != trunk_.rend(); ++it)
+    grad_ptr = &(*it)->backward(*grad_ptr);
+  const Tensor& grad = *grad_ptr;
   FLINT_CHECK(grad.rows() == last_padded_.size() &&
               grad.cols() == config_.seq_len * config_.embed_dim);
   for (std::size_t i = 0; i < last_padded_.size(); ++i) {

@@ -49,7 +49,7 @@ class Model {
   /// Concatenation of all parameter gradients.
   std::vector<float> get_flat_gradients();
 
-  /// Zero all parameter gradients.
+  /// Zero all parameter gradients (ml::zero_grad over parameters()).
   void zero_grad();
 
   /// Serialized size in bytes of one gradient update (float32 payload).
@@ -100,6 +100,11 @@ class FeedForwardModel : public Model {
   std::vector<std::unique_ptr<Layer>> trunk_;     ///< dense + relu stack + head
   std::size_t last_batch_size_ = 0;
   bool last_had_tokens_ = false;
+  // Per-instance buffers, reused across steps; the copy constructor leaves
+  // them empty.
+  Tensor hashed_;      ///< hashing front end output
+  Tensor concat_;      ///< [front | dense] trunk input
+  Tensor front_grad_;  ///< embedding slice of the trunk's input gradient
 };
 
 /// Configuration for ConvTextModel (the paper's Model D).
@@ -132,6 +137,7 @@ class ConvTextModel : public Model {
   Parameter embedding_;  ///< [vocab, embed_dim]; positional lookup, not a bag
   std::vector<std::unique_ptr<Layer>> trunk_;
   std::vector<std::vector<std::int32_t>> last_padded_;
+  Tensor input_;  ///< embedded sequence fed to the trunk; not copied by clones
 };
 
 }  // namespace flint::ml

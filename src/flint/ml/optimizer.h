@@ -33,4 +33,18 @@ class SgdOptimizer {
 /// Used both as a training stabilizer and as the DP sensitivity bound.
 double clip_gradients(const std::vector<Parameter*>& params, double max_norm);
 
+/// Zero every gradient; afterwards each tracked GradRows set is empty and
+/// exact.
+void zero_grad(const std::vector<Parameter*>& params);
+
+// Row-sparse updates (DESIGN.md §16.5): while a parameter's grad_rows are
+// exact, zero_grad, clip_gradients and SgdOptimizer::step visit only its
+// marked rows wherever the dense sweep would leave the other rows bit-for-bit
+// unchanged. zero_grad always may. clip_gradients may when the row width is
+// a multiple of 8, so the marked rows, packed back to back, meet every
+// path's sum_squares accumulator lanes where the dense sweep did. step may
+// with momentum 0 and weight decay 0, where an unmarked row's update is
+// value - lr * (0 + 0 * value) == value for every finite value. Every other
+// case takes the dense path.
+
 }  // namespace flint::ml

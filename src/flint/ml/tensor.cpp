@@ -31,6 +31,12 @@ float Tensor::at(std::size_t r, std::size_t c) const {
 void Tensor::zero() { std::fill(data_.begin(), data_.end(), 0.0f); }
 void Tensor::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
+void Tensor::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
+
 Tensor& Tensor::operator+=(const Tensor& other) {
   FLINT_CHECK_MSG(same_shape(other),
                   "shape mismatch: " << shape_string() << " += " << other.shape_string());

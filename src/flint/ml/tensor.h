@@ -47,6 +47,10 @@ class Tensor {
   /// Reset every element to zero, keeping the shape.
   void zero();
 
+  /// Reshape to [rows, cols], reusing the storage (no allocation once it is
+  /// large enough). Element values are unspecified until written.
+  void resize(std::size_t rows, std::size_t cols);
+
   /// Fill with a constant.
   void fill(float v);
 

@@ -139,39 +139,127 @@ TEST(KernelEquivalence, MatmulFamily) {
   struct Shape {
     std::size_t m, kk, n;
   };
-  const Shape shapes[] = {{1, 1, 1}, {3, 5, 7}, {8, 8, 8}, {17, 33, 9}, {32, 64, 16}};
+  // Besides odd sizes: the training shapes of the case-study models (batch
+  // 16 through 16->32->16->1), n == 1 with m >= 8 (the row-vectorised path,
+  // with and without a row tail), and k == 1.
+  const Shape shapes[] = {{1, 1, 1},   {3, 5, 7},   {8, 8, 8},   {17, 33, 9},
+                          {32, 64, 16}, {16, 16, 32}, {16, 32, 16}, {16, 16, 1},
+                          {13, 16, 1},  {16, 1, 16},  {9, 1, 3},    {5, 3, 1}};
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   for (k::KernelPath path : simd_paths()) {
     const auto& simd = k::table_for(path);
     for (const Shape& s : shapes) {
-      util::Rng rng(3000 + s.m * 100 + s.kk * 10 + s.n);
-      std::vector<float> a = random_floats(s.m * s.kk, rng);
-      std::vector<float> b = random_floats(s.kk * s.n, rng);
-      // Plant exact zeros so the a==0 skip (signed-zero preservation) runs.
-      for (std::size_t i = 0; i < a.size(); i += 7) a[i] = 0.0f;
+      // `out` starts at +0.0 or at -0.0: a skipped update must leave -0.0.
+      for (float seed : {0.0f, -0.0f}) {
+        util::Rng rng(3000 + s.m * 100 + s.kk * 10 + s.n);
+        std::vector<float> a = random_floats(s.m * s.kk, rng);
+        std::vector<float> b = random_floats(s.kk * s.n, rng);
+        // Plant exact zeros so the a==0 skip (signed-zero preservation) runs.
+        for (std::size_t i = 0; i < a.size(); i += 7) a[i] = 0.0f;
+        // Where all of a's column 1 is zero, b's row 1 may hold inf and NaN:
+        // every product with them is skipped, so `out` stays finite.
+        const bool poison = s.kk >= 2;
+        if (poison) {
+          for (std::size_t i = 0; i < s.m; ++i) a[i * s.kk + 1] = i % 2 == 0 ? 0.0f : -0.0f;
+          for (std::size_t j = 0; j < s.n; ++j) b[s.n + j] = j % 2 == 0 ? inf : nan;
+        }
+        const std::string where = std::string(k::path_name(path)) + " at " +
+                                  std::to_string(s.m) + "x" + std::to_string(s.kk) + "x" +
+                                  std::to_string(s.n) + (std::signbit(seed) ? ", out -0.0" : "");
 
-      std::vector<float> oa(s.m * s.n, 0.0f), ob(s.m * s.n, 0.0f);
-      scalar.matmul(a.data(), b.data(), oa.data(), s.m, s.kk, s.n);
-      simd.matmul(a.data(), b.data(), ob.data(), s.m, s.kk, s.n);
-      EXPECT_TRUE(bit_equal(oa, ob))
-          << "matmul differs on " << k::path_name(path) << " at " << s.m << "x" << s.kk << "x"
-          << s.n;
+        std::vector<float> oa(s.m * s.n, seed), ob(s.m * s.n, seed);
+        scalar.matmul(a.data(), b.data(), oa.data(), s.m, s.kk, s.n);
+        simd.matmul(a.data(), b.data(), ob.data(), s.m, s.kk, s.n);
+        EXPECT_TRUE(bit_equal(oa, ob)) << "matmul differs on " << where;
+        if (poison) {
+          for (float v : oa) EXPECT_TRUE(std::isfinite(v)) << "matmul skip let inf/NaN in";
+        }
 
-      // transposed_matmul: a is [k, m].
-      std::vector<float> at = random_floats(s.kk * s.m, rng);
-      std::vector<float> ta(s.m * s.n, 0.0f), tb(s.m * s.n, 0.0f);
-      scalar.transposed_matmul(at.data(), b.data(), ta.data(), s.kk, s.m, s.n);
-      simd.transposed_matmul(at.data(), b.data(), tb.data(), s.kk, s.m, s.n);
-      EXPECT_TRUE(bit_equal(ta, tb)) << "transposed_matmul differs on " << k::path_name(path);
+        // transposed_matmul: a is [k, m]; zero its row 1 to match b's row 1.
+        std::vector<float> at = random_floats(s.kk * s.m, rng);
+        for (std::size_t i = 0; i < at.size(); i += 5) at[i] = 0.0f;
+        if (poison)
+          for (std::size_t i = 0; i < s.m; ++i) at[s.m + i] = 0.0f;
+        std::vector<float> ta(s.m * s.n, seed), tb(s.m * s.n, seed);
+        scalar.transposed_matmul(at.data(), b.data(), ta.data(), s.kk, s.m, s.n);
+        simd.transposed_matmul(at.data(), b.data(), tb.data(), s.kk, s.m, s.n);
+        EXPECT_TRUE(bit_equal(ta, tb)) << "transposed_matmul differs on " << where;
+        if (poison) {
+          for (float v : ta)
+            EXPECT_TRUE(std::isfinite(v)) << "transposed_matmul skip let inf/NaN in";
+        }
 
-      // matmul_transposed: b is [n, k]; dot products agree within 1 ULP.
-      std::vector<float> bt = random_floats(s.n * s.kk, rng);
-      std::vector<float> da(s.m * s.n, 0.0f), db(s.m * s.n, 0.0f);
-      scalar.matmul_transposed(a.data(), bt.data(), da.data(), s.m, s.kk, s.n);
-      simd.matmul_transposed(a.data(), bt.data(), db.data(), s.m, s.kk, s.n);
-      for (std::size_t i = 0; i < da.size(); ++i)
-        EXPECT_TRUE(within_one_ulp(da[i], db[i]))
-            << "matmul_transposed element " << i << " beyond 1 ULP: " << da[i] << " vs "
-            << db[i];
+        // matmul_transposed: b is [n, k]; dot products agree within 1 ULP.
+        std::vector<float> bt = random_floats(s.n * s.kk, rng);
+        std::vector<float> da(s.m * s.n, seed), db(s.m * s.n, seed);
+        scalar.matmul_transposed(a.data(), bt.data(), da.data(), s.m, s.kk, s.n);
+        simd.matmul_transposed(a.data(), bt.data(), db.data(), s.m, s.kk, s.n);
+        for (std::size_t i = 0; i < da.size(); ++i)
+          EXPECT_TRUE(within_one_ulp(da[i], db[i]))
+              << "matmul_transposed element " << i << " beyond 1 ULP on " << where << ": "
+              << da[i] << " vs " << db[i];
+      }
+    }
+  }
+}
+
+// ReLU pair: bit-equal across paths on the awkward values (signed zeros,
+// NaN, subnormals, infinities), and the scalar reference has the documented
+// semantics — including that masking the backward pass by the forward
+// output gives the same gradient as masking by its input.
+TEST(KernelEquivalence, ReluPairBitIdentical) {
+  const auto& scalar = k::table_for(k::KernelPath::kScalar);
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min() / 4,
+                            -std::numeric_limits<float>::min() / 4,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            1.5f,
+                            -2.25f};
+  for (std::size_t n : kSizes) {
+    util::Rng rng(4000 + n);
+    std::vector<float> x = random_floats(n, rng);
+    for (std::size_t i = 0; i < n; ++i)
+      if (i % 2 == 0) x[i] = specials[(i / 2) % std::size(specials)];
+    const std::vector<float> g = random_floats(n, rng);
+
+    std::vector<float> y(n), d_in(n), d_in_by_y(n);
+    scalar.relu_forward(y.data(), x.data(), n);
+    scalar.relu_backward(d_in.data(), g.data(), x.data(), n);
+    scalar.relu_backward(d_in_by_y.data(), g.data(), y.data(), n);
+    EXPECT_TRUE(bit_equal(d_in, d_in_by_y)) << "masking by output differs at n=" << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (x[i] < 0.0f) {
+        EXPECT_EQ(std::signbit(y[i]), false);
+        EXPECT_EQ(y[i], 0.0f);
+      } else {
+        EXPECT_EQ(0, std::memcmp(&y[i], &x[i], sizeof(float))) << "relu changed " << x[i];
+      }
+      if (x[i] <= 0.0f)
+        EXPECT_TRUE(d_in[i] == 0.0f && !std::signbit(d_in[i]));
+      else
+        EXPECT_EQ(0, std::memcmp(&d_in[i], &g[i], sizeof(float)));
+    }
+
+    for (k::KernelPath path : simd_paths()) {
+      const auto& simd = k::table_for(path);
+      std::vector<float> ys(n), ds(n);
+      simd.relu_forward(ys.data(), x.data(), n);
+      simd.relu_backward(ds.data(), g.data(), x.data(), n);
+      EXPECT_TRUE(bit_equal(y, ys)) << "relu_forward differs on " << k::path_name(path)
+                                    << " at n=" << n;
+      EXPECT_TRUE(bit_equal(d_in, ds)) << "relu_backward differs on " << k::path_name(path)
+                                       << " at n=" << n;
+      // In place (d_in aliasing d_out), as the kernel contract allows.
+      std::vector<float> inplace = g;
+      simd.relu_backward(inplace.data(), inplace.data(), y.data(), n);
+      EXPECT_TRUE(bit_equal(d_in, inplace)) << "in-place relu_backward differs at n=" << n;
     }
   }
 }

@@ -216,6 +216,50 @@ TEST(Conv1dMaxPool, RejectsBadKernel) {
   EXPECT_THROW(Conv1dMaxPoolLayer(4, 2, 2, 5), util::CheckError);
 }
 
+TEST(DenseLayer, ForwardAndBackwardReuseTheirBuffers) {
+  util::Rng rng(8);
+  DenseLayer layer(6, 4);
+  layer.init(rng);
+  Tensor in_a = random_input(5, 6, rng), in_b = random_input(5, 6, rng);
+  const Tensor* out = &layer.forward(in_a);
+  const Tensor* din = &layer.backward(coefficient_tensor(5, 4, rng));
+  Tensor expected = layer.forward(in_b);  // a copy of the second result
+  EXPECT_EQ(&layer.forward(in_b), out);
+  EXPECT_TRUE(*out == expected);
+  EXPECT_EQ(&layer.backward(coefficient_tensor(5, 4, rng)), din);
+}
+
+TEST(DenseLayer, WithoutInputGradientKeepsParameterGradients) {
+  util::Rng rng(9);
+  DenseLayer full(5, 3);
+  full.init(rng);
+  DenseLayer first(5, 3, /*input_grad=*/false);
+  for (std::size_t i = 0; i < 2; ++i)
+    first.parameters()[i]->value = full.parameters()[i]->value;
+  Tensor in = random_input(4, 5, rng);
+  Tensor g = coefficient_tensor(4, 3, rng);
+  full.forward(in);
+  EXPECT_EQ(full.backward(g).rows(), 4u);
+  first.forward(in);
+  EXPECT_TRUE(first.backward(g).empty());
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(first.parameters()[i]->grad == full.parameters()[i]->grad);
+}
+
+TEST(Layers, CloneCopiesParametersNotBuffers) {
+  util::Rng rng(10);
+  DenseLayer layer(3, 2);
+  layer.init(rng);
+  Tensor in = random_input(4, 3, rng);
+  layer.forward(in);
+  auto copy = layer.clone();
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_TRUE(copy->parameters()[i]->value == layer.parameters()[i]->value);
+  // The clone has seen no forward(), so it has no cached input to back-prop.
+  EXPECT_THROW(copy->backward(coefficient_tensor(4, 2, rng)), util::CheckError);
+  EXPECT_TRUE(copy->forward(in) == layer.forward(in));
+}
+
 TEST(Layers, CloneIsDeepCopy) {
   util::Rng rng(7);
   DenseLayer layer(3, 2);

@@ -1,6 +1,11 @@
 // Integration tests: do the optimizer + losses + models actually learn?
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <tuple>
+
+#include "flint/ml/kernels/kernels.h"
 #include "flint/ml/loss.h"
 #include "flint/ml/metrics.h"
 #include "flint/ml/model.h"
@@ -213,6 +218,89 @@ TEST(Optimizer, ClipLeavesSmallGradientsAlone) {
   std::vector<Parameter*> params = {&p};
   clip_gradients(params, 1.0);
   EXPECT_FLOAT_EQ(p.grad[0], 0.1f);
+}
+
+// Row-sparse zero_grad/clip/step (DESIGN.md §16.5) against the dense sweeps
+// they stand in for: a twin model whose grad_rows are invalidated after every
+// backward takes the dense path everywhere, and both must stay bit-equal on
+// every kernel path. Covers a row width the sparse clip accepts (16), one it
+// rejects (12), and the momentum / weight-decay steps that must go dense.
+TEST(Optimizer, RowSparseUpdatesMatchDenseSweeps) {
+  const std::string saved = kernels::requested_spec();
+  struct Case {
+    std::size_t embed_dim;
+    double momentum, weight_decay;
+  };
+  for (const Case& c : {Case{16, 0.0, 0.0}, Case{12, 0.0, 0.0}, Case{16, 0.9, 0.0},
+                        Case{16, 0.0, 1e-3}}) {
+    for (kernels::KernelPath path : {kernels::KernelPath::kScalar, kernels::KernelPath::kAvx2,
+                                     kernels::KernelPath::kNeon}) {
+      if (!kernels::path_supported(path)) continue;
+      kernels::set_path(kernels::path_name(path));
+      FeedForwardConfig cfg;
+      cfg.front_end = FrontEnd::kEmbedding;
+      cfg.vocab = 300;
+      cfg.embed_dim = c.embed_dim;
+      cfg.hidden = {8};
+      util::Rng rng(11);
+      FeedForwardModel sparse(cfg);
+      sparse.init(rng);
+      FeedForwardModel dense(sparse);
+      std::vector<Parameter*> sp = sparse.parameters();
+      std::vector<Parameter*> dp = dense.parameters();
+      SgdOptimizer sparse_opt(c.momentum, c.weight_decay), dense_opt(c.momentum, c.weight_decay);
+      for (int step = 0; step < 12; ++step) {
+        std::vector<Example> examples(16);
+        for (Example& e : examples) {
+          auto len = rng.uniform_int(0, 10);
+          for (std::int64_t t = 0; t < len; ++t)
+            e.tokens.push_back(static_cast<std::int32_t>(rng.uniform_int(0, 299)));
+          e.label = rng.bernoulli(0.4) ? 1.0f : 0.0f;
+        }
+        Batch batch = Batch::from_examples(examples, 0);
+        for (auto [model, params, opt] : {std::tuple{&sparse, &sp, &sparse_opt},
+                                          std::tuple{&dense, &dp, &dense_opt}}) {
+          LossResult loss = bce_with_logits(model->forward(batch), batch.labels);
+          zero_grad(*params);
+          model->backward(loss.d_logits);
+          if (model == &dense) {
+            for (Parameter* p : *params) p->grad_rows.invalidate();
+          } else {
+            EXPECT_TRUE(params->front()->grad_rows.exact());
+          }
+          clip_gradients(*params, 0.05);  // small enough to clip every step
+          opt->step(*params, 0.5);
+        }
+        std::vector<float> a = sparse.get_flat_parameters(), b = dense.get_flat_parameters();
+        ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
+            << "row-sparse update diverged at step " << step << " on "
+            << kernels::path_name(path) << " (dim " << c.embed_dim << ", momentum "
+            << c.momentum << ", weight decay " << c.weight_decay << ")";
+      }
+    }
+  }
+  kernels::set_path(saved);
+}
+
+TEST(Optimizer, ZeroGradClearsEveryMarkedRow) {
+  EmbeddingBagLayer bag(10, 8);
+  std::vector<Parameter*> params = bag.parameters();
+  Parameter& table = *params[0];
+  EXPECT_FALSE(table.grad_rows.exact());  // unknown until the first zero_grad
+  zero_grad(params);
+  EXPECT_TRUE(table.grad_rows.exact());
+  bag.forward({{1, 7}, {7, 42}});  // 42 clamps into row 9
+  Tensor g(2, 8);
+  g.fill(1.0f);
+  bag.backward(g);
+  std::vector<std::size_t> rows;
+  table.grad_rows.for_each([&](std::size_t r) { rows.push_back(r); });
+  EXPECT_EQ(rows, (std::vector<std::size_t>{1, 7, 9}));
+  zero_grad(params);
+  for (float v : table.grad.flat()) EXPECT_EQ(v, 0.0f);
+  rows.clear();
+  table.grad_rows.for_each([&](std::size_t r) { rows.push_back(r); });
+  EXPECT_TRUE(rows.empty());
 }
 
 }  // namespace
