@@ -34,8 +34,9 @@ std::vector<float> random_floats(std::size_t n, util::Rng& rng, double stddev = 
 }
 
 bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  // memcmp's pointers must be non-null even for zero bytes (UBSan checks).
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 bool within_one_ulp(float a, float b) {
@@ -111,7 +112,7 @@ TEST(KernelEquivalence, AccumAndReduceKernels) {
       std::vector<double> sa = sum0, sb = sum0;
       scalar.weighted_accum(sa.data(), x.data(), 2.5, n);
       simd.weighted_accum(sb.data(), x.data(), 2.5, n);
-      EXPECT_EQ(0, std::memcmp(sa.data(), sb.data(), n * sizeof(double)))
+      EXPECT_TRUE(n == 0 || std::memcmp(sa.data(), sb.data(), n * sizeof(double)) == 0)
           << "weighted_accum differs at n=" << n;
 
       // mean_from_sums: elementwise, bit-identical.

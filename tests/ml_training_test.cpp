@@ -1,6 +1,7 @@
 // Integration tests: do the optimizer + losses + models actually learn?
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -258,6 +259,7 @@ TEST(Optimizer, RowSparseUpdatesMatchDenseSweeps) {
           e.label = rng.bernoulli(0.4) ? 1.0f : 0.0f;
         }
         Batch batch = Batch::from_examples(examples, 0);
+        std::vector<double> norms;
         for (auto [model, params, opt] : {std::tuple{&sparse, &sp, &sparse_opt},
                                           std::tuple{&dense, &dp, &dense_opt}}) {
           LossResult loss = bce_with_logits(model->forward(batch), batch.labels);
@@ -268,15 +270,52 @@ TEST(Optimizer, RowSparseUpdatesMatchDenseSweeps) {
           } else {
             EXPECT_TRUE(params->front()->grad_rows.exact());
           }
-          clip_gradients(*params, 0.05);  // small enough to clip every step
+          norms.push_back(clip_gradients(*params, 0.05));  // small enough to clip every step
           opt->step(*params, 0.5);
         }
+        // The pre-clip norm is a double: any change in summation order shows.
+        EXPECT_EQ(0, std::memcmp(&norms[0], &norms[1], sizeof(double)))
+            << "norms " << norms[0] << " vs " << norms[1] << " at step " << step;
         std::vector<float> a = sparse.get_flat_parameters(), b = dense.get_flat_parameters();
         ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
             << "row-sparse update diverged at step " << step << " on "
             << kernels::path_name(path) << " (dim " << c.embed_dim << ", momentum "
             << c.momentum << ", weight decay " << c.weight_decay << ")";
       }
+    }
+  }
+  kernels::set_path(saved);
+}
+
+// The packed sum of squares must equal the dense one bit for bit. Squares
+// spread over many binades make the double sum round, so a packing that
+// put rows on different accumulator lanes (a row width the sparse clip
+// should refuse) would change the norm.
+TEST(Optimizer, RowSparseClipNormIsBitExact) {
+  const std::string saved = kernels::requested_spec();
+  for (kernels::KernelPath path : {kernels::KernelPath::kScalar, kernels::KernelPath::kAvx2,
+                                   kernels::KernelPath::kNeon}) {
+    if (!kernels::path_supported(path)) continue;
+    kernels::set_path(kernels::path_name(path));
+    for (std::size_t cols : {4, 8, 12, 16, 20}) {
+      util::Rng rng(500 + cols);
+      Parameter sparse(97, cols);
+      sparse.grad_rows.track(97);
+      zero_grad({&sparse});
+      for (std::size_t r = 0; r < 97; ++r) {
+        if (!rng.bernoulli(0.4)) continue;
+        sparse.grad_rows.mark(r);
+        for (float& v : sparse.grad.row(r)) {
+          auto binade = static_cast<int>(rng.uniform_int(-30, 30));
+          v = static_cast<float>(std::ldexp(rng.normal(), binade));
+        }
+      }
+      Parameter dense = sparse;
+      dense.grad_rows.invalidate();
+      double a = clip_gradients({&sparse}, 1e30), b = clip_gradients({&dense}, 1e30);
+      EXPECT_EQ(0, std::memcmp(&a, &b, sizeof(double)))
+          << "norm " << a << " vs " << b << " at width " << cols << " on "
+          << kernels::path_name(path);
     }
   }
   kernels::set_path(saved);

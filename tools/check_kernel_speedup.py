@@ -5,6 +5,12 @@ in a BENCH_micro_kernels artifact must meet the floor (default 2.0x).
 Usage:
   tools/check_kernel_speedup.py BENCH_micro_kernels.json [--min 2.0]
 
+Training-shape cases (`kernels.<kernel>_<M>x<K>x<N>.*`, the case-study
+models' 16-row GEMMs) are printed but not gated: a call there does 16 to 8k
+multiply-adds in well under a microsecond, so call overhead rather than
+vector width bounds the ratio, and it is the end-to-end benchmark that
+judges them (DESIGN.md §16.5).
+
 The artifact's `kernels.simd_active` scalar records whether the sweep ran a
 SIMD path; on a `--kernels=scalar` run every speedup is ~1.0 by construction,
 so the gate passes with a note instead of failing. Absolute GB/s / GFLOP/s
@@ -19,9 +25,11 @@ Exit: 0 all kernels at or above the floor (or scalar-pinned run),
 
 import argparse
 import json
+import re
 import sys
 
 SUFFIX = ".speedup_vs_scalar"
+TRAINING_SHAPE = re.compile(r"_\d+x\d+x\d+$")
 
 
 def main() -> int:
@@ -53,6 +61,9 @@ def main() -> int:
 
     failures = []
     for name in sorted(speedups):
+        if TRAINING_SHAPE.search(name):
+            print(f"  {name:<22} {speedups[name]:6.2f}x  (training shape, not gated)")
+            continue
         ok = speedups[name] >= args.min
         print(f"  {name:<22} {speedups[name]:6.2f}x  "
               f"{'ok' if ok else f'BELOW {args.min}x'}")
@@ -64,7 +75,8 @@ def main() -> int:
               f"below the {args.min}x floor: {', '.join(failures)}",
               file=sys.stderr)
         return 1
-    print(f"check_kernel_speedup: {len(speedups)} kernels at >= {args.min}x")
+    gated = sum(1 for name in speedups if not TRAINING_SHAPE.search(name))
+    print(f"check_kernel_speedup: {gated} kernels at >= {args.min}x")
     return 0
 
 
