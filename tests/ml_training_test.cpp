@@ -221,13 +221,19 @@ TEST(Optimizer, ClipLeavesSmallGradientsAlone) {
   EXPECT_FLOAT_EQ(p.grad[0], 0.1f);
 }
 
+/// Restores the kernel path a test pinned, however the test exits.
+struct RestoreKernelPath {
+  std::string spec = kernels::requested_spec();
+  ~RestoreKernelPath() { kernels::set_path(spec); }
+};
+
 // Row-sparse zero_grad/clip/step (DESIGN.md §16.5) against the dense sweeps
 // they stand in for: a twin model whose grad_rows are invalidated after every
 // backward takes the dense path everywhere, and both must stay bit-equal on
 // every kernel path. Covers a row width the sparse clip accepts (16), one it
 // rejects (12), and the momentum / weight-decay steps that must go dense.
 TEST(Optimizer, RowSparseUpdatesMatchDenseSweeps) {
-  const std::string saved = kernels::requested_spec();
+  RestoreKernelPath restore;
   struct Case {
     std::size_t embed_dim;
     double momentum, weight_decay;
@@ -284,7 +290,6 @@ TEST(Optimizer, RowSparseUpdatesMatchDenseSweeps) {
       }
     }
   }
-  kernels::set_path(saved);
 }
 
 // The packed sum of squares must equal the dense one bit for bit. Squares
@@ -292,7 +297,7 @@ TEST(Optimizer, RowSparseUpdatesMatchDenseSweeps) {
 // put rows on different accumulator lanes (a row width the sparse clip
 // should refuse) would change the norm.
 TEST(Optimizer, RowSparseClipNormIsBitExact) {
-  const std::string saved = kernels::requested_spec();
+  RestoreKernelPath restore;
   for (kernels::KernelPath path : {kernels::KernelPath::kScalar, kernels::KernelPath::kAvx2,
                                    kernels::KernelPath::kNeon}) {
     if (!kernels::path_supported(path)) continue;
@@ -318,7 +323,6 @@ TEST(Optimizer, RowSparseClipNormIsBitExact) {
           << kernels::path_name(path);
     }
   }
-  kernels::set_path(saved);
 }
 
 TEST(Optimizer, ZeroGradClearsEveryMarkedRow) {
