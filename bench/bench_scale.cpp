@@ -11,6 +11,8 @@
 //   bench_scale                       # 1,000,000 clients, streaming
 //   bench_scale --clients 100000      # CI-sized run (the checked-in baseline)
 //   bench_scale --mode materialized   # the O(population) contrast
+//   bench_scale --chunk-clients 2048 --read-buffer-sessions 4096
+//                                     # small spill chunks and merge batches
 #include <fstream>
 #include <sstream>
 
@@ -28,6 +30,7 @@ struct ScaleOptions {
   double sessions_per_day = 1.5;
   std::string mode = "stream";  // stream | materialized
   std::size_t chunk_clients = 16'384;
+  std::size_t read_buffer_sessions = device::SessionStreamConfig{}.read_buffer_sessions;
   std::string spill_dir;
   std::uint64_t seed = 17;
 };
@@ -41,6 +44,8 @@ ScaleOptions parse_options(int argc, char** argv) {
     if (has_value("--sessions-per-day")) o.sessions_per_day = std::strtod(argv[i + 1], nullptr);
     if (has_value("--mode")) o.mode = argv[i + 1];
     if (has_value("--chunk-clients")) o.chunk_clients = std::strtoull(argv[i + 1], nullptr, 10);
+    if (has_value("--read-buffer-sessions"))
+      o.read_buffer_sessions = std::strtoull(argv[i + 1], nullptr, 10);
     if (has_value("--spill-dir")) o.spill_dir = argv[i + 1];
     if (has_value("--seed")) o.seed = std::strtoull(argv[i + 1], nullptr, 10);
   }
@@ -102,6 +107,7 @@ ScaleRun run_population(const ScaleOptions& opt, std::size_t clients, std::size_
   stream_cfg.generator.days = opt.days;
   stream_cfg.generator.sessions_per_day = opt.sessions_per_day;
   stream_cfg.clients_per_chunk = opt.chunk_clients;
+  stream_cfg.read_buffer_sessions = opt.read_buffer_sessions;
   stream_cfg.spill_dir = opt.spill_dir;
 
   device::AvailabilityCriteria criteria;
@@ -212,7 +218,8 @@ int main(int argc, char** argv) {
   artifact.add_scalar("rss.full_peak_mib", full_peak);
   artifact.add_scalar("rss.growth_ratio", growth);
   artifact.set_run(r, "none (model-free)");
-  // --mode / --chunk-clients / --spill-dir trade memory and wall time only —
+  // --mode / --chunk-clients / --read-buffer-sessions / --spill-dir trade
+  // memory and wall time only —
   // results are bit-identical (the scale_smoke gate) — so like --threads
   // they stay out of the config fingerprint.
   artifact.set_config_text("scale: " + std::to_string(opt.clients) + " clients, " +

@@ -36,22 +36,24 @@ FederatedDataset partition_dirichlet(const std::vector<ml::Example>& records,
   // Per-class affinity over clients: class c's records spread across clients
   // following Dirichlet(label_alpha), modulated by quantity share so both
   // skews compose.
-  std::vector<std::vector<double>> class_affinity(config.num_classes);
-  for (auto& aff : class_affinity) {
-    aff = rng.dirichlet(config.clients, config.label_alpha);
+  std::vector<util::CategoricalTable> class_affinity;
+  class_affinity.reserve(config.num_classes);
+  for (std::size_t cls = 0; cls < config.num_classes; ++cls) {
+    std::vector<double> aff = rng.dirichlet(config.clients, config.label_alpha);
     for (std::size_t k = 0; k < config.clients; ++k) aff[k] *= quantity[k];
     // Degenerate guard: if modulation zeroed everything (possible with tiny
     // alphas), fall back to the raw quantity shares.
     double sum = 0.0;
     for (double v : aff) sum += v;
     if (sum <= 0.0) aff = quantity;
+    class_affinity.emplace_back(aff);
   }
 
   FederatedDataset out;
   for (std::size_t i = 0; i < records.size(); ++i) {
     auto cls = static_cast<std::size_t>(std::llround(records[i].label));
     cls = std::min(cls, config.num_classes - 1);
-    ClientId client = rng.categorical(class_affinity[cls]);
+    ClientId client = class_affinity[cls].sample(rng);
     out.append(client, {records[i]});
   }
   return out;

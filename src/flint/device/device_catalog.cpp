@@ -51,8 +51,19 @@ std::vector<DeviceProfile> standard_profiles() {
 
 DeviceCatalog DeviceCatalog::standard() { return DeviceCatalog(standard_profiles()); }
 
+namespace {
+
+std::vector<double> popularity_weights(const std::vector<DeviceProfile>& profiles) {
+  std::vector<double> weights;
+  weights.reserve(profiles.size());
+  for (const auto& p : profiles) weights.push_back(p.popularity);
+  return weights;
+}
+
+}  // namespace
+
 DeviceCatalog::DeviceCatalog(std::vector<DeviceProfile> profiles)
-    : profiles_(std::move(profiles)) {
+    : profiles_(std::move(profiles)), popularity_(popularity_weights(profiles_)) {
   FLINT_CHECK(!profiles_.empty());
   // Normalize the unweighted mean speed to 1.0 so that zoo base times are
   // fleet means by construction.
@@ -64,7 +75,6 @@ DeviceCatalog::DeviceCatalog(std::vector<DeviceProfile> profiles)
   }
   mean /= static_cast<double>(profiles_.size());
   for (auto& p : profiles_) p.speed_multiplier /= mean;
-  for (const auto& p : profiles_) popularity_weights_.push_back(p.popularity);
 }
 
 const DeviceProfile& DeviceCatalog::profile(std::size_t i) const {
@@ -73,7 +83,7 @@ const DeviceProfile& DeviceCatalog::profile(std::size_t i) const {
 }
 
 std::size_t DeviceCatalog::sample_device(util::Rng& rng) const {
-  return rng.categorical(popularity_weights_);
+  return popularity_.sample(rng);
 }
 
 std::vector<std::size_t> DeviceCatalog::devices_with_os(Os os) const {

@@ -41,7 +41,7 @@ class DeviceCatalog {
 
  private:
   std::vector<DeviceProfile> profiles_;
-  std::vector<double> popularity_weights_;
+  util::CategoricalTable popularity_;  ///< sample_device's popularity weights
 };
 
 }  // namespace flint::device

@@ -49,8 +49,9 @@ HardwareDistribution sampled_hardware_distribution(const DeviceCatalog& catalog,
   std::vector<double> weights;
   weights.reserve(eligible.size());
   for (std::size_t idx : eligible) weights.push_back(catalog.profile(idx).popularity);
+  util::CategoricalTable table(weights);
   std::vector<std::size_t> counts(eligible.size(), 0);
-  for (std::size_t c = 0; c < clients; ++c) ++counts[rng.categorical(weights)];
+  for (std::size_t c = 0; c < clients; ++c) ++counts[table.sample(rng)];
   std::vector<HardwareShare> shares;
   for (std::size_t i = 0; i < eligible.size(); ++i)
     shares.push_back({catalog.profile(eligible[i]).name,

@@ -55,21 +55,28 @@ void emit_wrapped(std::vector<Session>& out, Session base, double raw_start, dou
   out.push_back(base);
 }
 
+/// The diurnal shape at the 48 half-hour slot starts: the start-time
+/// distribution SessionTraceSampler draws a slot from.
+std::vector<double> diurnal_slot_weights(double overnight_floor) {
+  constexpr std::size_t kSlots = 48;
+  std::vector<double> weights(kSlots);
+  for (std::size_t s = 0; s < kSlots; ++s)
+    weights[s] = diurnal_weight(static_cast<double>(s) * 0.5, overnight_floor);
+  return weights;
+}
+
 }  // namespace
 
 SessionTraceSampler::SessionTraceSampler(const SessionGeneratorConfig& config,
                                          const DeviceCatalog& catalog, std::uint64_t trace_seed)
-    : config_(config), catalog_(&catalog), trace_seed_(trace_seed) {
+    : config_(config),
+      catalog_(&catalog),
+      trace_seed_(trace_seed),
+      slots_(diurnal_slot_weights(config.overnight_floor)),
+      timezones_(config.timezone_weights) {
   FLINT_CHECK(config_.clients > 0);
   FLINT_CHECK(config_.days > 0);
   FLINT_CHECK(config_.timezone_offsets_h.size() == config_.timezone_weights.size());
-  FLINT_CHECK(!config_.timezone_offsets_h.empty());
-
-  // Precompute a 48-slot inverse-CDF of the diurnal shape for start times.
-  constexpr std::size_t kSlots = 48;
-  slot_weights_.resize(kSlots);
-  for (std::size_t s = 0; s < kSlots; ++s)
-    slot_weights_[s] = diurnal_weight(static_cast<double>(s) * 0.5, config_.overnight_floor);
 
   duration_params_ =
       util::lognormal_from_moments(config_.mean_session_s, config_.mean_session_s * config_.session_cv);
@@ -79,13 +86,13 @@ double SessionTraceSampler::horizon() const {
   return static_cast<double>(config_.days) * kSecondsPerDay;
 }
 
-ClientSessions SessionTraceSampler::client(std::uint64_t client_id) const {
+std::size_t SessionTraceSampler::append_client(std::uint64_t client_id,
+                                               std::vector<Session>& out) const {
   util::Rng rng = util::derive_stream(trace_seed_, kSessionTraceStreamId, client_id);
   const double h = horizon();
 
-  ClientSessions out;
-  out.device_index = catalog_->sample_device(rng);
-  double tz = config_.timezone_offsets_h[rng.categorical(config_.timezone_weights)];
+  const std::size_t device_index = catalog_->sample_device(rng);
+  double tz = config_.timezone_offsets_h[timezones_.sample(rng)];
   for (int day = 0; day < config_.days; ++day) {
     int weekday = day % 7;
     bool weekend = weekday >= 5;
@@ -93,14 +100,14 @@ ClientSessions SessionTraceSampler::client(std::uint64_t client_id) const {
     auto n = static_cast<std::size_t>(rng.poisson(mean_sessions));
     for (std::size_t k = 0; k < n; ++k) {
       double local_hour =
-          (static_cast<double>(rng.categorical(slot_weights_)) + rng.uniform(0.0, 1.0)) * 0.5;
+          (static_cast<double>(slots_.sample(rng)) + rng.uniform(0.0, 1.0)) * 0.5;
       double start =
           static_cast<double>(day) * kSecondsPerDay + (local_hour + tz) * kSecondsPerHour;
       double duration = std::max(10.0, rng.lognormal(duration_params_.mu, duration_params_.sigma));
 
       Session base;
       base.client_id = client_id;
-      base.device_index = out.device_index;
+      base.device_index = device_index;
       base.wifi = rng.bernoulli(config_.wifi_probability);
       base.battery_pct = rng.bernoulli(config_.high_battery_probability)
                              ? rng.uniform(80.0, 100.0)
@@ -111,15 +118,14 @@ ClientSessions SessionTraceSampler::client(std::uint64_t client_id) const {
         // A long background gap splits the session into two (§4.1).
         double cut = rng.uniform(0.3, 0.7) * duration;
         double gap = rng.uniform(60.0, 600.0);
-        emit_wrapped(out.sessions, base, start, cut, h);
-        emit_wrapped(out.sessions, base, start + cut + gap, duration - cut, h);
+        emit_wrapped(out, base, start, cut, h);
+        emit_wrapped(out, base, start + cut + gap, duration - cut, h);
       } else {
-        emit_wrapped(out.sessions, base, start, duration, h);
+        emit_wrapped(out, base, start, duration, h);
       }
     }
   }
-  std::sort(out.sessions.begin(), out.sessions.end(), session_order);
-  return out;
+  return device_index;
 }
 
 SessionLog generate_sessions(const SessionGeneratorConfig& config, const DeviceCatalog& catalog,
@@ -130,11 +136,8 @@ SessionLog generate_sessions(const SessionGeneratorConfig& config, const DeviceC
 
   SessionLog log;
   log.client_device.resize(config.clients);
-  for (std::size_t c = 0; c < config.clients; ++c) {
-    ClientSessions cs = sampler.client(c);
-    log.client_device[c] = cs.device_index;
-    log.sessions.insert(log.sessions.end(), cs.sessions.begin(), cs.sessions.end());
-  }
+  for (std::size_t c = 0; c < config.clients; ++c)
+    log.client_device[c] = sampler.append_client(c, log.sessions);
   std::sort(log.sessions.begin(), log.sessions.end(), session_order);
   return log;
 }

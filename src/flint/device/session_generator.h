@@ -58,16 +58,9 @@ inline constexpr std::uint64_t kSessionTraceStreamId = 0x5E551014ull;
 /// Canonical session ordering: by start, then client id, then end. The two
 /// tie-break keys make the order a total one for generated traces (a client
 /// never emits two sessions with identical start AND end), so sorts agree
-/// across standard libraries and the k-way streaming merge can reproduce the
-/// materialized order exactly.
+/// across standard libraries and the batched streaming merge can reproduce
+/// the materialized order exactly, whatever order its input arrives in.
 bool session_order(const Session& a, const Session& b);
-
-/// One client's generated trace: its device and its sessions, sorted by
-/// session_order.
-struct ClientSessions {
-  std::size_t device_index = 0;
-  std::vector<Session> sessions;
-};
 
 /// Per-client session sampler. All randomness for client `c` comes from
 /// derive_stream(trace_seed, kSessionTraceStreamId, c), so clients can be
@@ -78,9 +71,10 @@ class SessionTraceSampler {
   SessionTraceSampler(const SessionGeneratorConfig& config, const DeviceCatalog& catalog,
                       std::uint64_t trace_seed);
 
-  /// Generate client `client_id`'s full trace (sessions sorted by
-  /// session_order, all within [0, days*86400)).
-  ClientSessions client(std::uint64_t client_id) const;
+  /// Generate client `client_id`'s full trace: append its sessions (all
+  /// within [0, days*86400), in generation order, not sorted) to `out` and
+  /// return its device index.
+  std::size_t append_client(std::uint64_t client_id, std::vector<Session>& out) const;
 
   const SessionGeneratorConfig& config() const { return config_; }
   /// Trace horizon in seconds: days * 86400.
@@ -90,7 +84,8 @@ class SessionTraceSampler {
   SessionGeneratorConfig config_;
   const DeviceCatalog* catalog_;
   std::uint64_t trace_seed_;
-  std::vector<double> slot_weights_;
+  util::CategoricalTable slots_;      ///< 48 half-hour diurnal slots
+  util::CategoricalTable timezones_;  ///< the timezone mix
   util::LognormalParams duration_params_;
 };
 

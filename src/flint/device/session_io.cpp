@@ -1,6 +1,8 @@
 #include "flint/device/session_io.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 
@@ -64,8 +66,12 @@ SessionLog read_session_log_csv(const std::string& path) {
 
 namespace {
 
-constexpr std::uint64_t kChunkMagic = 0x464C534E43484Bull;  // "FLSNCHK"
+constexpr std::uint64_t kChunkMagic = 0x464C534E424B54ull;  // "FLSNBKT"
+constexpr std::uint64_t kHeaderBytes = 3 * 8;               // magic, count, buckets
 constexpr std::size_t kRecordBytes = 8 + 8 + 8 + 8 + 8 + 1;
+/// Records packed or unpacked per stream write/read: bounds the staging
+/// buffer however large a chunk or bucket range is.
+constexpr std::size_t kPieceRecords = 1024;
 
 void pack_session(const Session& s, char* rec) {
   std::uint64_t client = s.client_id;
@@ -95,78 +101,150 @@ Session unpack_session(const char* rec) {
   return s;
 }
 
-void write_u64(std::ofstream& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out.write(buf, 8);
+void write_u64s(std::ofstream& out, const std::uint64_t* v, std::size_t n) {
+  std::vector<char> buf(n * 8);
+  std::memcpy(buf.data(), v, buf.size());
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
-std::uint64_t read_u64(std::ifstream& in) {
-  char buf[8] = {};
-  in.read(buf, 8);
-  std::uint64_t v = 0;
-  std::memcpy(&v, buf, 8);
-  return v;
+/// Read `n` u64s; false if the file ended first.
+bool read_u64s(std::ifstream& in, std::uint64_t* v, std::size_t n) {
+  std::vector<char> buf(n * 8);
+  in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+  if (in.gcount() != static_cast<std::streamsize>(buf.size())) return false;
+  std::memcpy(v, buf.data(), buf.size());
+  return true;
 }
 
 }  // namespace
 
-SessionChunkWriter::SessionChunkWriter(const std::string& path)
-    : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
-  FLINT_CHECK_MSG(out_.good(), "cannot write session chunk " << path_);
-  write_u64(out_, kChunkMagic);
-  write_u64(out_, 0);  // count, patched by finish()
+std::size_t spill_buckets(double horizon) {
+  // The upper bound keeps the bucket count in range of the cast below.
+  FLINT_CHECK_MSG(horizon > 0.0 && horizon / kSpillBucketSeconds < 4294967296.0,
+                  "spill horizon out of range: " << horizon);
+  return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(horizon / kSpillBucketSeconds)));
 }
 
-SessionChunkWriter::~SessionChunkWriter() {
-  if (!finished_) finish();
+std::size_t spill_bucket(TraceTime start, std::size_t buckets) {
+  FLINT_CHECK_MSG(start >= 0.0, "session start " << start << " before the trace epoch");
+  const double b = start / kSpillBucketSeconds;
+  return b < static_cast<double>(buckets) ? static_cast<std::size_t>(b) : buckets - 1;
 }
 
-void SessionChunkWriter::add(const Session& s) {
-  FLINT_CHECK_MSG(!finished_, "add() after finish() on chunk " << path_);
-  char rec[kRecordBytes];
-  pack_session(s, rec);
-  out_.write(rec, kRecordBytes);
-  ++count_;
-}
+void write_session_chunk(const std::string& path, const std::vector<Session>& sessions,
+                         std::vector<std::uint64_t>& bucket_totals) {
+  const std::size_t buckets = bucket_totals.size();
+  FLINT_CHECK(buckets > 0);
+  FLINT_CHECK_MSG(sessions.size() <= UINT32_MAX, "session chunk too large: " << sessions.size());
 
-void SessionChunkWriter::finish() {
-  if (finished_) return;
-  finished_ = true;
-  out_.seekp(8);
-  write_u64(out_, static_cast<std::uint64_t>(count_));
-  out_.flush();
-  FLINT_CHECK_MSG(out_.good(), "failed writing session chunk " << path_);
-}
-
-SessionChunkReader::SessionChunkReader(const std::string& path, std::size_t buffer_sessions)
-    : path_(path), in_(path, std::ios::binary), buffer_sessions_(std::max<std::size_t>(1, buffer_sessions)) {
-  FLINT_CHECK_MSG(in_.good(), "cannot read session chunk " << path_);
-  std::uint64_t magic = read_u64(in_);
-  std::uint64_t count = read_u64(in_);
-  FLINT_CHECK_MSG(in_.good() && magic == kChunkMagic, "bad session chunk header in " << path_);
-  count_ = static_cast<std::size_t>(count);
-}
-
-std::optional<Session> SessionChunkReader::next() {
-  if (buffer_pos_ == buffer_.size()) {
-    if (consumed_ == count_) return std::nullopt;
-    refill();
+  // Counting pass: offsets[b + 1] counts bucket b, then a prefix sum turns
+  // the counts into each bucket's first record.
+  std::vector<std::uint64_t> offsets(buckets + 1, 0);
+  for (const auto& s : sessions) ++offsets[spill_bucket(s.start, buckets) + 1];
+  for (std::size_t b = 0; b < buckets; ++b) {
+    bucket_totals[b] += offsets[b + 1];
+    offsets[b + 1] += offsets[b];
   }
-  return buffer_[buffer_pos_++];
+  // order[k] is the index of the session written k-th.
+  std::vector<std::uint32_t> order(sessions.size());
+  std::vector<std::uint64_t> fill(offsets.begin(), offsets.end() - 1);
+  for (std::size_t i = 0; i < sessions.size(); ++i)
+    order[fill[spill_bucket(sessions[i].start, buckets)]++] = static_cast<std::uint32_t>(i);
+
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  FLINT_CHECK_MSG(out.good(), "cannot write session chunk " << path);
+  const std::uint64_t header[3] = {kChunkMagic, sessions.size(), buckets};
+  write_u64s(out, header, 3);
+  write_u64s(out, offsets.data(), offsets.size());
+  std::vector<char> piece(std::min(order.size(), kPieceRecords) * kRecordBytes);
+  for (std::size_t k = 0; k < order.size(); k += kPieceRecords) {
+    const std::size_t n = std::min(kPieceRecords, order.size() - k);
+    for (std::size_t j = 0; j < n; ++j)
+      pack_session(sessions[order[k + j]], piece.data() + j * kRecordBytes);
+    out.write(piece.data(), static_cast<std::streamsize>(n * kRecordBytes));
+  }
+  out.flush();
+  FLINT_CHECK_MSG(out.good(), "failed writing session chunk " << path);
 }
 
-void SessionChunkReader::refill() {
-  std::size_t want = std::min(buffer_sessions_, count_ - consumed_);
-  std::vector<char> raw(want * kRecordBytes);
-  in_.read(raw.data(), static_cast<std::streamsize>(raw.size()));
-  FLINT_CHECK_MSG(in_.gcount() == static_cast<std::streamsize>(raw.size()),
-                  "truncated session chunk " << path_);
-  buffer_.clear();
-  buffer_.reserve(want);
-  for (std::size_t i = 0; i < want; ++i) buffer_.push_back(unpack_session(raw.data() + i * kRecordBytes));
-  consumed_ += want;
-  buffer_pos_ = 0;
+SessionChunkReader::SessionChunkReader(const std::string& path) : path_(path) {
+  // Unbuffered: every read is a whole offset or record range, and a merge
+  // keeps one reader per chunk open, so a stream buffer each would only add
+  // resident memory per chunk.
+  in_.rdbuf()->pubsetbuf(nullptr, 0);
+  in_.open(path, std::ios::binary);
+  FLINT_CHECK_MSG(in_.is_open(), "cannot read session chunk " << path_);
+  in_.seekg(0, std::ios::end);
+  const std::streamoff end = in_.tellg();
+  FLINT_CHECK_MSG(in_.good() && end >= 0, "cannot size session chunk " << path_);
+  const auto size = static_cast<std::uint64_t>(end);
+  in_.seekg(0);
+
+  std::uint64_t header[3] = {};
+  FLINT_CHECK_MSG(size >= kHeaderBytes && read_u64s(in_, header, 3) && header[0] == kChunkMagic,
+                  "bad session chunk header in " << path_);
+  const std::uint64_t count = header[1];
+  const std::uint64_t buckets = header[2];
+  // Every bound is checked by division first, so no product can wrap.
+  FLINT_CHECK_MSG(buckets >= 1 && buckets < (size - kHeaderBytes) / 8,
+                  "session chunk offset table runs past the end of " << path_);
+  records_begin_ = kHeaderBytes + (buckets + 1) * 8;
+  const std::uint64_t record_bytes = size - records_begin_;
+  FLINT_CHECK_MSG(count <= record_bytes / kRecordBytes && count * kRecordBytes == record_bytes,
+                  "session chunk " << path_ << " holds " << record_bytes << " record bytes, not "
+                                   << count << " records");
+
+  std::vector<std::uint64_t> offsets(buckets + 1);
+  FLINT_CHECK_MSG(read_u64s(in_, offsets.data(), offsets.size()),
+                  "truncated session chunk offset table in " << path_);
+  FLINT_CHECK_MSG(offsets[0] == 0, "session chunk offsets do not start at 0 in " << path_);
+  for (std::size_t b = 0; b < buckets; ++b)
+    FLINT_CHECK_MSG(offsets[b] <= offsets[b + 1],
+                    "non-monotone session chunk offsets at bucket " << b << " in " << path_);
+  FLINT_CHECK_MSG(offsets[buckets] == count, "session chunk header count " << count
+                                                 << " != offset-table total "
+                                                 << offsets[buckets] << " in " << path_);
+  count_ = static_cast<std::size_t>(count);
+  buckets_ = static_cast<std::size_t>(buckets);
+}
+
+void SessionChunkReader::read_until(std::size_t bucket_end, std::vector<Session>& out,
+                                    std::vector<std::size_t>& slots) {
+  FLINT_CHECK_MSG(bucket_end >= next_bucket_ && bucket_end <= buckets_,
+                  "bucket " << bucket_end << " out of range [" << next_bucket_ << ", " << buckets_
+                            << "] in " << path_);
+  const std::size_t n = bucket_end - next_bucket_;
+  FLINT_CHECK_MSG(slots.size() >= n, "need " << n << " bucket slots, got " << slots.size());
+  if (n == 0) return;
+  // The offset table was validated when the chunk was opened; re-check the
+  // entries read now so a file changed since cannot move a range out of
+  // bounds.
+  std::vector<std::uint64_t> offsets(n + 1);
+  in_.seekg(static_cast<std::streamoff>(kHeaderBytes + next_bucket_ * 8));
+  FLINT_CHECK_MSG(read_u64s(in_, offsets.data(), offsets.size()),
+                  "truncated session chunk offset table in " << path_);
+  FLINT_CHECK_MSG(offsets[0] == next_record_ && offsets[n] <= count_,
+                  "bad bucket offsets in " << path_);
+  for (std::size_t k = 0; k < n; ++k)
+    FLINT_CHECK_MSG(offsets[k] <= offsets[k + 1], "non-monotone bucket offsets in " << path_);
+
+  in_.seekg(static_cast<std::streamoff>(records_begin_ + next_record_ * kRecordBytes));
+  std::vector<char> piece(std::min<std::uint64_t>(offsets[n] - next_record_, kPieceRecords) *
+                          kRecordBytes);
+  std::size_t k = 0;  // bucket of the next record, relative to the first
+  while (next_record_ < offsets[n]) {
+    const auto m = static_cast<std::size_t>(std::min<std::uint64_t>(offsets[n] - next_record_, kPieceRecords));
+    in_.read(piece.data(), static_cast<std::streamsize>(m * kRecordBytes));
+    FLINT_CHECK_MSG(in_.gcount() == static_cast<std::streamsize>(m * kRecordBytes),
+                    "truncated session chunk " << path_);
+    for (std::size_t j = 0; j < m; ++j, ++next_record_) {
+      while (next_record_ >= offsets[k + 1]) ++k;  // stops below n: next_record_ < offsets[n]
+      std::size_t& slot = slots[k];
+      FLINT_CHECK_MSG(slot < out.size(), "session chunk " << path_ << " overfills its batch");
+      out[slot++] = unpack_session(piece.data() + j * kRecordBytes);
+    }
+  }
+  next_bucket_ = bucket_end;
 }
 
 }  // namespace flint::device

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,50 +23,59 @@ void write_session_log_csv(const std::string& path, const SessionLog& log);
 /// the same schema). Sessions are re-sorted by start time.
 SessionLog read_session_log_csv(const std::string& path);
 
-/// Binary spill-chunk format for the streaming session generator
-/// (session_stream.h): a fixed 41-byte host-endian record per session
-/// behind a small magic+count header. Unlike the CSV codec this is an
-/// internal scratch format — same-build write/read only, never exchanged —
-/// so it favours exact double round-trips and sequential throughput.
-class SessionChunkWriter {
- public:
-  explicit SessionChunkWriter(const std::string& path);
-  ~SessionChunkWriter();
-  SessionChunkWriter(const SessionChunkWriter&) = delete;
-  SessionChunkWriter& operator=(const SessionChunkWriter&) = delete;
+/// Spill chunks group their records by fine time bucket: bucket b holds the
+/// sessions whose start lies in [b * kSpillBucketSeconds, (b + 1) *
+/// kSpillBucketSeconds). The bucket is a non-decreasing function of start, so
+/// sorting consecutive buckets batch by batch yields session_order overall.
+inline constexpr double kSpillBucketSeconds = 60.0;
 
-  /// Append one session to the chunk.
-  void add(const Session& s);
-  /// Patch the header count and flush. Called by the destructor if omitted.
-  void finish();
-  std::size_t count() const { return count_; }
+/// Number of fine buckets covering a trace horizon [0, horizon): at least 1.
+std::size_t spill_buckets(double horizon);
 
- private:
-  std::string path_;
-  std::ofstream out_;
-  std::size_t count_ = 0;
-  bool finished_ = false;
-};
+/// The fine bucket of a session start, clamped to the last of `buckets`.
+/// Throws CheckError for a negative or NaN start.
+std::size_t spill_bucket(TraceTime start, std::size_t buckets);
 
-/// Buffered sequential reader over a finished chunk file.
+/// Write `sessions` as one binary spill chunk, grouped by fine bucket with
+/// one counting pass (input order within a bucket), and add each bucket's
+/// session count to `bucket_totals`, whose size is the bucket count.
+///
+/// Layout, all u64 host-endian: magic, record count, bucket count B, then
+/// B + 1 record offsets (offset[b] is bucket b's first record, offset[B] the
+/// count), then one 41-byte packed record per session. Unlike the CSV codec
+/// this is an internal scratch format — same-build write/read only, never
+/// exchanged — so it favours exact double round-trips and sequential
+/// throughput.
+void write_session_chunk(const std::string& path, const std::vector<Session>& sessions,
+                         std::vector<std::uint64_t>& bucket_totals);
+
+/// Reads a spill chunk back bucket range by bucket range. The constructor
+/// validates the header and the whole offset table against the file size;
+/// only the file handle and a cursor stay resident, so many readers can be
+/// open at once at O(1) memory each.
 class SessionChunkReader {
  public:
-  explicit SessionChunkReader(const std::string& path, std::size_t buffer_sessions = 4096);
+  explicit SessionChunkReader(const std::string& path);
 
-  /// The next session, or nullopt at end of chunk.
-  std::optional<Session> next();
   std::size_t count() const { return count_; }
+  std::size_t buckets() const { return buckets_; }
+
+  /// Read the records of buckets [first, bucket_end), where `first` is the
+  /// bucket the previous call stopped at (0 at first), storing each record
+  /// of bucket b at out[slots[b - first]++]. `slots` must hold an entry per
+  /// bucket; a slot that reaches out.size() throws CheckError instead of
+  /// writing past the end.
+  void read_until(std::size_t bucket_end, std::vector<Session>& out,
+                  std::vector<std::size_t>& slots);
 
  private:
-  void refill();
-
   std::string path_;
   std::ifstream in_;
   std::size_t count_ = 0;
-  std::size_t consumed_ = 0;
-  std::size_t buffer_sessions_;
-  std::vector<Session> buffer_;
-  std::size_t buffer_pos_ = 0;
+  std::size_t buckets_ = 0;
+  std::uint64_t records_begin_ = 0;  ///< byte position of the first record
+  std::size_t next_bucket_ = 0;
+  std::size_t next_record_ = 0;
 };
 
 }  // namespace flint::device

@@ -4,15 +4,19 @@
 // leader, scheduler, and availability layers consume an iterator instead of
 // a materialized vector. Small populations stream from an in-memory sorted
 // buffer; large ones are generated in client chunks, spilled to binary chunk
-// files (session_io.h), and merged back through a bounded k-way heap, so
-// peak RSS is O(chunk) + O(read buffers), independent of total clients.
+// files grouped by fine time bucket (session_io.h), and read back one batch
+// of consecutive buckets at a time, sorting only the batches a run reads, so
+// peak RSS is O(chunk) + O(read budget), independent of total clients.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "flint/device/session_generator.h"
+#include "flint/device/session_io.h"
 
 namespace flint::device {
 
@@ -52,15 +56,51 @@ class MaterializedSessionStream : public SessionStream {
 struct SessionStreamConfig {
   SessionGeneratorConfig generator;
   /// Populations up to this size stream from memory; larger ones generate in
-  /// chunks of this many clients and spill each sorted chunk to disk.
+  /// chunks of this many clients and spill each chunk to disk, grouped by
+  /// fine time bucket.
   std::size_t clients_per_chunk = 8192;
-  /// Total read-back buffer across the k-way merge (sessions, split evenly
-  /// over the chunk readers with a floor of 64 each), so merge memory is a
-  /// fixed budget rather than a per-chunk quantity.
+  /// Read-back budget in sessions: each merge batch spans whole fine
+  /// buckets and holds at most max(this, the largest bucket) sessions, so
+  /// merge memory is a fixed budget rather than a per-chunk quantity.
   std::size_t read_buffer_sessions = 65'536;
   /// Directory for spill files; empty means the system temp directory.
   /// Files are removed when the stream is destroyed.
   std::string spill_dir;
+};
+
+/// The read side of the chunked spill: merges chunk files written by
+/// write_session_chunk back into session_order. Each batch is the longest
+/// run of consecutive fine buckets whose sessions fit in `budget` (at least
+/// one bucket); it is read from every chunk straight into per-bucket
+/// regions, each region is sorted, and the batch is served from a cursor.
+/// A batch is loaded only when the previous one is used up, so a consumer
+/// that stops early never reads or sorts the rest.
+class SpilledSessionMerge {
+ public:
+  /// `bucket_totals[b]` is bucket b's session count summed over all chunks
+  /// (what write_session_chunk accumulated); every chunk must have
+  /// bucket_totals.size() buckets.
+  SpilledSessionMerge(const std::vector<std::string>& chunk_paths,
+                      std::vector<std::uint64_t> bucket_totals, std::size_t budget);
+
+  std::optional<Session> next();
+
+  /// Batches loaded so far, and the most sessions any of them held.
+  std::size_t batches() const { return batches_; }
+  std::size_t peak_batch_sessions() const { return peak_batch_; }
+
+ private:
+  bool load_batch();
+
+  std::vector<SessionChunkReader> readers_;
+  std::vector<std::uint64_t> bucket_totals_;
+  std::size_t budget_;
+  std::size_t next_bucket_ = 0;
+  std::vector<Session> batch_;
+  std::vector<std::size_t> slots_;  ///< per bucket of the batch: next free slot
+  std::size_t cursor_ = 0;
+  std::size_t batches_ = 0;
+  std::size_t peak_batch_ = 0;
 };
 
 /// Build a session stream for `config.generator.clients` clients. Consumes

@@ -15,6 +15,17 @@ double FixedBandwidthModel::sample_mbps(util::Rng& rng) const {
   return mbps_;
 }
 
+namespace {
+
+std::vector<double> component_weights(const std::vector<BandwidthComponent>& components) {
+  std::vector<double> weights;
+  weights.reserve(components.size());
+  for (const auto& c : components) weights.push_back(c.weight);
+  return weights;
+}
+
+}  // namespace
+
 PufferLikeBandwidthModel::PufferLikeBandwidthModel()
     : PufferLikeBandwidthModel(
           {
@@ -25,7 +36,10 @@ PufferLikeBandwidthModel::PufferLikeBandwidthModel()
 
 PufferLikeBandwidthModel::PufferLikeBandwidthModel(std::vector<BandwidthComponent> components,
                                                    double floor_mbps, double ceil_mbps)
-    : components_(std::move(components)), floor_mbps_(floor_mbps), ceil_mbps_(ceil_mbps) {
+    : components_(std::move(components)),
+      mix_(component_weights(components_)),
+      floor_mbps_(floor_mbps),
+      ceil_mbps_(ceil_mbps) {
   FLINT_CHECK(!components_.empty());
   FLINT_CHECK_GT(floor_mbps_, 0.0);
   FLINT_CHECK_GT(ceil_mbps_, floor_mbps_);
@@ -33,12 +47,11 @@ PufferLikeBandwidthModel::PufferLikeBandwidthModel(std::vector<BandwidthComponen
     FLINT_CHECK_FINITE(c.mu);
     FLINT_CHECK_GT(c.weight, 0.0);
     FLINT_CHECK_GT(c.sigma, 0.0);
-    weights_.push_back(c.weight);
   }
 }
 
 double PufferLikeBandwidthModel::sample_mbps(util::Rng& rng) const {
-  const auto& c = components_[rng.categorical(weights_)];
+  const auto& c = components_[mix_.sample(rng)];
   double v = rng.lognormal(c.mu, c.sigma);
   return std::clamp(v, floor_mbps_, ceil_mbps_);
 }

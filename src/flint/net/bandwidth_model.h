@@ -56,7 +56,7 @@ class PufferLikeBandwidthModel : public BandwidthModel {
 
  private:
   std::vector<BandwidthComponent> components_;
-  std::vector<double> weights_;
+  util::CategoricalTable mix_;  ///< component weights
   double floor_mbps_;
   double ceil_mbps_;
 };

@@ -228,20 +228,30 @@ std::vector<double> Rng::dirichlet(const std::vector<double>& alphas) {
 }
 
 std::size_t Rng::categorical(const std::vector<double>& weights) {
+  return CategoricalTable(weights).sample(*this);
+}
+
+CategoricalTable::CategoricalTable(const std::vector<double>& weights) {
   FLINT_CHECK(!weights.empty());
-  double total = 0.0;
+  cumulative_.reserve(weights.size());
+  double acc = 0.0;
   for (double w : weights) {
     FLINT_CHECK(w >= 0.0);
-    total += w;
+    acc += w;
+    cumulative_.push_back(acc);
   }
-  FLINT_CHECK_MSG(total > 0.0, "categorical weights sum to zero");
-  double u = uniform(0.0, total);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (u <= acc) return i;
-  }
-  return weights.size() - 1;
+  FLINT_CHECK_MSG(acc > 0.0, "categorical weights sum to zero");
+}
+
+std::size_t CategoricalTable::sample(Rng& rng) const {
+  const double u = rng.uniform(0.0, cumulative_.back());
+  // The running sums never decrease, so "u > acc" holds on a prefix and the
+  // partition point is the first i with u <= acc. A u that exceeds every sum
+  // (or is NaN, from an infinite weight) falls back to the last index.
+  auto it = std::partition_point(cumulative_.begin(), cumulative_.end(),
+                                 [u](double acc) { return !(u <= acc); });
+  return it == cumulative_.end() ? cumulative_.size() - 1
+                                 : static_cast<std::size_t>(it - cumulative_.begin());
 }
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {

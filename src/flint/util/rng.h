@@ -86,6 +86,8 @@ class Rng {
   std::vector<double> dirichlet(const std::vector<double>& alphas);
 
   /// Index drawn from a discrete distribution proportional to weights.
+  /// Builds a CategoricalTable per call; callers that draw repeatedly from
+  /// the same weights should keep the table.
   std::size_t categorical(const std::vector<double>& weights);
 
   /// k distinct indices uniformly sampled from [0, n) (Floyd's algorithm).
@@ -139,6 +141,24 @@ class Rng {
 
   State s_;
   std::uint64_t seed_;
+};
+
+/// A discrete distribution proportional to fixed weights, with the running
+/// sums cached so a draw is one uniform plus a binary search. sample() takes
+/// one uniform(0, total) draw and returns the first i whose running sum
+/// weights[0] + ... + weights[i] (summed left to right) is >= it, so it
+/// equals a linear scan over the weights draw for draw.
+class CategoricalTable {
+ public:
+  /// Throws CheckError unless `weights` is non-empty, every weight is >= 0,
+  /// and the total is > 0.
+  explicit CategoricalTable(const std::vector<double>& weights);
+
+  std::size_t sample(Rng& rng) const;
+  std::size_t size() const { return cumulative_.size(); }
+
+ private:
+  std::vector<double> cumulative_;  ///< running sums; back() is the total
 };
 
 /// Counter-based stream derivation: a fresh Rng keyed by (seed, stream,

@@ -196,8 +196,12 @@ TEST(ConvTextModel, CloneIndependent) {
 
 // --- Zoo parameter counts: architecture fidelity against Table 5. ---
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: padding bytes are indeterminate and would make the
+// test names change from build to build. Hence the letter is widened to the
+// width of `params`.
 struct ZooExpectation {
-  char id;
+  std::size_t id;  // model letter, e.g. 'A'
   std::size_t params;
 };
 
@@ -206,7 +210,7 @@ class ZooParamTest : public ::testing::TestWithParam<ZooExpectation> {};
 TEST_P(ZooParamTest, ParameterCountMatchesPaperScale) {
   auto [id, expected] = GetParam();
   util::Rng rng(9);
-  auto model = build_zoo_model(id, rng);
+  auto model = build_zoo_model(static_cast<char>(id), rng);
   EXPECT_EQ(model->parameter_count(), expected);
 }
 

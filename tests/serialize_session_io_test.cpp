@@ -131,10 +131,27 @@ TEST(SessionIo, RoundTripPreservesSessions) {
   fs::remove_all(dir);
 }
 
+/// Read buckets [first, end) of `reader` into a vector laid out by bucket,
+/// given every bucket's record count.
+std::vector<device::Session> read_buckets(device::SessionChunkReader& reader, std::size_t first,
+                                          std::size_t end,
+                                          const std::vector<std::uint64_t>& per_bucket) {
+  std::vector<std::size_t> slots(end - first);
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    slots[k] = n;
+    n += per_bucket[first + k];
+  }
+  std::vector<device::Session> out(n);
+  reader.read_until(end, out, slots);
+  return out;
+}
+
 TEST(SessionIo, BinaryChunkRoundTripIsBitExact) {
-  // The spill format under the streaming generator's k-way merge: unlike the
-  // CSV path there is no decimal formatting, so every field must come back
-  // bit-for-bit.
+  // The spill format under the streaming generator's batched merge: unlike
+  // the CSV path there is no decimal formatting, so every field must come
+  // back bit-for-bit. The input is sorted by start and the counting pass is
+  // stable, so the grouped file reads back in the log's own order.
   auto dir = fs::temp_directory_path() / "flint_session_chunk";
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -145,29 +162,63 @@ TEST(SessionIo, BinaryChunkRoundTripIsBitExact) {
   cfg.days = 2;
   auto log = device::generate_sessions(cfg, catalog, rng);
 
+  const std::size_t buckets = device::spill_buckets(cfg.days * device::kSecondsPerDay);
+  ASSERT_EQ(buckets, 2u * 1440u);
+  std::vector<std::uint64_t> totals(buckets, 0);
   std::string path = (dir / "chunk.bin").string();
-  {
-    device::SessionChunkWriter writer(path);
-    for (const auto& s : log.sessions) writer.add(s);
-    writer.finish();
+  device::write_session_chunk(path, log.sessions, totals);
+  std::vector<std::uint64_t> expect_totals(buckets, 0);
+  for (const auto& s : log.sessions) ++expect_totals[device::spill_bucket(s.start, buckets)];
+  EXPECT_EQ(totals, expect_totals);
+
+  device::SessionChunkReader reader(path);
+  EXPECT_EQ(reader.count(), log.sessions.size());
+  EXPECT_EQ(reader.buckets(), buckets);
+  std::vector<device::Session> back;
+  std::size_t first = 0;
+  for (std::size_t end : {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{7},
+                          std::size_t{1000}, std::size_t{1001}, buckets}) {
+    auto range = read_buckets(reader, first, end, expect_totals);  // uneven and empty ranges
+    back.insert(back.end(), range.begin(), range.end());
+    first = end;
   }
-  device::SessionChunkReader reader(path, /*buffer_sessions=*/7);  // odd size:
-  EXPECT_EQ(reader.count(), log.sessions.size());  // forces partial refills
-  std::size_t i = 0;
-  while (auto s = reader.next()) {
-    ASSERT_LT(i, log.sessions.size());
-    EXPECT_EQ(s->client_id, log.sessions[i].client_id);
-    EXPECT_EQ(s->device_index, log.sessions[i].device_index);
-    EXPECT_EQ(s->start, log.sessions[i].start);
-    EXPECT_EQ(s->end, log.sessions[i].end);
-    EXPECT_EQ(s->wifi, log.sessions[i].wifi);
-    EXPECT_EQ(s->battery_pct, log.sessions[i].battery_pct);
-    EXPECT_EQ(s->foreground, log.sessions[i].foreground);
-    ++i;
+  ASSERT_EQ(back.size(), log.sessions.size());
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].client_id, log.sessions[i].client_id);
+    EXPECT_EQ(back[i].device_index, log.sessions[i].device_index);
+    EXPECT_EQ(back[i].start, log.sessions[i].start);
+    EXPECT_EQ(back[i].end, log.sessions[i].end);
+    EXPECT_EQ(back[i].wifi, log.sessions[i].wifi);
+    EXPECT_EQ(back[i].battery_pct, log.sessions[i].battery_pct);
+    EXPECT_EQ(back[i].foreground, log.sessions[i].foreground);
   }
-  EXPECT_EQ(i, log.sessions.size());
-  EXPECT_FALSE(reader.next().has_value());
+  std::vector<std::size_t> slots(buckets + 1, 0);
+  EXPECT_THROW(reader.read_until(buckets - 1, back, slots), util::CheckError);  // backwards
+  EXPECT_THROW(reader.read_until(buckets + 1, back, slots), util::CheckError);  // past the table
   fs::remove_all(dir);
+}
+
+/// A four-session, three-bucket chunk: buckets hold 2, 0 and 2 records.
+std::string write_small_chunk(const fs::path& dir, const std::string& name) {
+  std::vector<device::Session> sessions(4);
+  const double starts[] = {0.0, 30.0, 120.0, 150.0};
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    sessions[i].client_id = i;
+    sessions[i].start = starts[i];
+    sessions[i].end = starts[i] + 5.0;
+  }
+  std::vector<std::uint64_t> totals(3, 0);
+  std::string path = (dir / name).string();
+  device::write_session_chunk(path, sessions, totals);
+  return path;
+}
+
+/// Overwrite the u64 at byte `pos` of a chunk file. Header: magic at 0,
+/// count at 8, bucket count at 16; offset[b] at 24 + 8 * b.
+void patch_u64(const std::string& path, std::streamoff pos, std::uint64_t v) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(pos);
+  f.write(reinterpret_cast<const char*>(&v), 8);
 }
 
 TEST(SessionIo, BinaryChunkRejectsBadHeaderAndTruncation) {
@@ -179,30 +230,81 @@ TEST(SessionIo, BinaryChunkRejectsBadHeaderAndTruncation) {
     std::ofstream out(garbage, std::ios::binary);
     out << "this is not a session chunk";
   }
-  EXPECT_THROW(device::SessionChunkReader(garbage, 16), util::CheckError);
-  EXPECT_THROW(device::SessionChunkReader((dir / "missing.bin").string(), 16),
-               util::CheckError);
+  EXPECT_THROW(device::SessionChunkReader{garbage}, util::CheckError);
+  EXPECT_THROW(device::SessionChunkReader{(dir / "missing.bin").string()}, util::CheckError);
 
-  // A valid header whose record payload was cut short must be caught by the
-  // reader's byte accounting, not returned as silently-zeroed sessions.
-  std::string truncated = (dir / "truncated.bin").string();
-  {
-    device::SessionChunkWriter writer(truncated);
-    device::Session s;
-    s.client_id = 1;
-    s.start = 1.0;
-    s.end = 2.0;
-    for (int i = 0; i < 4; ++i) writer.add(s);
-    writer.finish();
-  }
+  // A record payload cut short is caught by the size check at open...
+  std::string truncated = write_small_chunk(dir, "truncated.bin");
   fs::resize_file(truncated, fs::file_size(truncated) - 10);
-  device::SessionChunkReader reader(truncated, 16);
-  EXPECT_THROW(
-      {
-        while (reader.next()) {
-        }
-      },
-      util::CheckError);
+  EXPECT_THROW(device::SessionChunkReader{truncated}, util::CheckError);
+
+  // ...and, if the file shrinks after it was opened, by the byte accounting
+  // of the range read, never returned as silently-zeroed sessions.
+  const std::vector<std::uint64_t> per_bucket = {2, 0, 2};
+  std::string shrinks = write_small_chunk(dir, "shrinks.bin");
+  device::SessionChunkReader reader(shrinks);
+  EXPECT_EQ(read_buckets(reader, 0, 1, per_bucket).size(), 2u);
+  fs::resize_file(shrinks, fs::file_size(shrinks) - 10);
+  EXPECT_THROW(read_buckets(reader, 1, 3, per_bucket), util::CheckError);
+
+  // A batch laid out for fewer records than the chunk holds is refused at
+  // the first record that would land past its end, never written there.
+  device::SessionChunkReader overfill(write_small_chunk(dir, "overfill.bin"));
+  std::vector<device::Session> small(3);
+  std::vector<std::size_t> slots = {0, 2, 2};
+  EXPECT_THROW(overfill.read_until(3, small, slots), util::CheckError);
+  std::vector<std::size_t> too_few_slots = {0, 2};
+  device::SessionChunkReader short_slots(write_small_chunk(dir, "short_slots.bin"));
+  EXPECT_THROW(short_slots.read_until(3, small, too_few_slots), util::CheckError);
+  fs::remove_all(dir);
+}
+
+TEST(SessionIo, BinaryChunkCorruptionMatrix) {
+  // Every corruption of the bucketed layout must throw CheckError from the
+  // reader's constructor, before any record is read or any size trusted.
+  auto dir = fs::temp_directory_path() / "flint_session_chunk_matrix";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  struct Case {
+    const char* name;
+    std::streamoff pos;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {"bad magic", 0, 0x0123456789ABCDEFull},
+      {"header count above offset-table total", 8, 5},
+      {"header count below offset-table total", 8, 3},
+      {"bucket count past EOF", 16, huge},
+      {"bucket count zero", 16, 0},
+      {"first offset not zero", 24, 1},
+      {"non-monotone offsets", 24 + 8, 3},  // 0, 3, 2, 4
+      {"offset-table total disagrees with count", 24 + 3 * 8, 3},
+  };
+  for (const auto& c : cases) {
+    std::string path = write_small_chunk(dir, "case.bin");
+    ASSERT_NO_THROW(device::SessionChunkReader{path});
+    patch_u64(path, c.pos, c.value);
+    EXPECT_THROW(device::SessionChunkReader{path}, util::CheckError) << c.name;
+  }
+
+  // An offset past EOF: count and the last offset agree, but the records
+  // they claim run beyond the end of the file (including a count whose byte
+  // size would overflow 64 bits).
+  for (std::uint64_t count : {std::uint64_t{5}, std::uint64_t{1000}, huge}) {
+    std::string path = write_small_chunk(dir, "past_eof.bin");
+    patch_u64(path, 8, count);
+    patch_u64(path, 24 + 3 * 8, count);
+    EXPECT_THROW(device::SessionChunkReader{path}, util::CheckError) << "count " << count;
+  }
+
+  // Trailing bytes after the last record are corruption too.
+  std::string trailing = write_small_chunk(dir, "trailing.bin");
+  {
+    std::ofstream out(trailing, std::ios::binary | std::ios::app);
+    out << "x";
+  }
+  EXPECT_THROW(device::SessionChunkReader{trailing}, util::CheckError);
   fs::remove_all(dir);
 }
 

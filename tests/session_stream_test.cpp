@@ -2,9 +2,12 @@
 // they depend on (DESIGN.md §17): every session inside the horizon whatever
 // the timezone sign, a total sort order, a golden fixed-seed trace hash, and
 // streaming-vs-materialized bit-equivalence on both the in-memory and the
-// spill-to-disk-and-merge paths.
+// spill-to-disk-and-merge paths, including the bucketed merge's batch
+// boundaries and read budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 
@@ -153,27 +156,145 @@ TEST(SessionStream, InMemoryStreamMatchesMaterializedLog) {
 }
 
 TEST(SessionStream, SpilledStreamMatchesMaterializedLog) {
+  // Spilled through 7 chunks (400 clients / 64) and merged under a budget
+  // small enough for tens of batches, with the default timezone mix and with
+  // a negative offset whose evening sessions wrap to the end of the horizon.
   auto catalog = device::DeviceCatalog::standard();
-  device::SessionStreamConfig cfg;
-  cfg.generator = small_config();
-  cfg.clients_per_chunk = 64;  // force spill + k-way merge: 400/64 -> 7 chunks
-  cfg.read_buffer_sessions = 128;  // tiny budget -> per-reader floor kicks in
+  for (double tz : {0.0, -8.0}) {
+    device::SessionStreamConfig cfg;
+    cfg.generator = small_config();
+    if (tz != 0.0) {
+      cfg.generator.timezone_offsets_h = {tz};
+      cfg.generator.timezone_weights = {1.0};
+    }
+    cfg.clients_per_chunk = 64;
+    cfg.read_buffer_sessions = 128;
 
-  util::Rng rng_a(56);
-  util::Rng rng_b(56);
-  auto log = device::generate_sessions(cfg.generator, catalog, rng_a);
-  auto stream = device::make_session_stream(cfg, catalog, rng_b);
+    util::Rng rng_a(56);
+    util::Rng rng_b(56);
+    auto log = device::generate_sessions(cfg.generator, catalog, rng_a);
+    auto stream = device::make_session_stream(cfg, catalog, rng_b);
 
-  std::size_t i = 0;
-  while (auto s = stream->next()) {
-    ASSERT_LT(i, log.sessions.size());
-    expect_session_eq(*s, log.sessions[i]);
-    ++i;
+    // No batch exceeds max(budget, largest fine bucket), so this many
+    // sessions take at least ten batches.
+    const double horizon = cfg.generator.days * device::kSecondsPerDay;
+    const std::size_t buckets = device::spill_buckets(horizon);
+    std::vector<std::size_t> per_bucket(buckets, 0);
+    for (const auto& s : log.sessions) ++per_bucket[device::spill_bucket(s.start, buckets)];
+    const std::size_t largest = *std::max_element(per_bucket.begin(), per_bucket.end());
+    ASSERT_GE(log.sessions.size(), 10 * std::max(largest, cfg.read_buffer_sessions)) << "tz " << tz;
+    if (tz < 0.0) {  // the wrap really lands sessions in the horizon's last hour
+      ASSERT_GT(log.sessions.back().start, horizon - device::kSecondsPerHour);
+    }
+
+    std::size_t i = 0;
+    while (auto s = stream->next()) {
+      ASSERT_LT(i, log.sessions.size()) << "tz " << tz;
+      expect_session_eq(*s, log.sessions[i]);
+      ++i;
+    }
+    EXPECT_EQ(i, log.sessions.size()) << "tz " << tz;
+    EXPECT_FALSE(stream->next().has_value());  // stays exhausted
   }
-  EXPECT_EQ(i, log.sessions.size());
+}
+
+// ------------------------------------------------- spill merge, hand-built
+
+device::Session at(std::uint64_t client, double start, double end) {
+  device::Session s;
+  s.client_id = client;
+  s.device_index = client % 5;
+  s.start = start;
+  s.end = end;
+  s.wifi = client % 2 == 0;
+  s.battery_pct = static_cast<double>(client);
+  return s;
+}
+
+TEST(SpilledSessionMerge, BucketBoundariesAndBudgetsKeepSessionOrder) {
+  // Sessions exactly on fine-bucket boundaries and one ulp either side, at
+  // 0 and just below the horizon, ties on start broken by client and by end,
+  // and one bucket (at 120 s) larger than the small budgets: spread over
+  // three chunks in no particular order, the merge must reproduce a full
+  // sort, and no batch may hold more than max(budget, largest bucket).
+  const double horizon = 2 * device::kSecondsPerDay;
+  const double w = device::kSpillBucketSeconds;
+  std::vector<device::Session> all = {
+      at(1, 0.0, 10.0),
+      at(2, 0.0, 5.0),
+      at(2, 0.0, 4.0),
+      at(3, w, w + 1),
+      at(4, std::nextafter(w, 0.0), w + 1),
+      at(5, std::nextafter(w, 2 * w), w + 2),
+      at(9, 2 * w, 2 * w + 9),
+      at(8, 2 * w, 2 * w + 9),
+      at(7, 2 * w, 2 * w + 9),
+      at(6, 2 * w, 2 * w + 9),
+      at(10, 2 * w, 2 * w + 8),
+      at(11, 1000 * w, 1000 * w + 30),
+      at(12, std::nextafter(1001 * w, 0.0), 1001 * w + 30),
+      at(13, horizon - w, horizon),
+      at(14, std::nextafter(horizon, 0.0), horizon),
+      at(15, horizon - 0.5, horizon),
+  };
+  const std::size_t buckets = device::spill_buckets(horizon);
+  ASSERT_EQ(device::spill_bucket(std::nextafter(w, 0.0), buckets), 0u);
+  ASSERT_EQ(device::spill_bucket(w, buckets), 1u);
+  ASSERT_EQ(device::spill_bucket(std::nextafter(horizon, 0.0), buckets), buckets - 1);
+  std::vector<std::size_t> per_bucket(buckets, 0);
+  for (const auto& s : all) ++per_bucket[device::spill_bucket(s.start, buckets)];
+  const std::size_t largest = *std::max_element(per_bucket.begin(), per_bucket.end());
+  ASSERT_EQ(largest, 5u);
+
+  auto dir = fs::temp_directory_path() / "flint_spill_merge_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<std::uint64_t> totals(buckets, 0);
+  std::vector<std::string> paths;
+  for (std::size_t chunk = 0; chunk < 3; ++chunk) {
+    std::vector<device::Session> part;
+    for (std::size_t i = all.size(); i-- > 0;)  // reversed, so input order is not start order
+      if (i % 3 == chunk) part.push_back(all[i]);
+    paths.push_back((dir / ("chunk-" + std::to_string(chunk) + ".bin")).string());
+    device::write_session_chunk(paths.back(), part, totals);
+  }
+
+  std::vector<device::Session> expect = all;
+  std::sort(expect.begin(), expect.end(), device::session_order);
+  for (std::size_t budget : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7},
+                             std::size_t{1000}}) {
+    device::SpilledSessionMerge merge(paths, totals, budget);
+    std::size_t i = 0;
+    while (auto s = merge.next()) {
+      ASSERT_LT(i, expect.size()) << "budget " << budget;
+      expect_session_eq(*s, expect[i]);
+      ++i;
+    }
+    EXPECT_EQ(i, expect.size()) << "budget " << budget;
+    EXPECT_FALSE(merge.next().has_value());
+    EXPECT_LE(merge.peak_batch_sessions(), std::max(budget, largest)) << "budget " << budget;
+    if (budget >= all.size()) {
+      EXPECT_EQ(merge.batches(), 1u);
+    }
+    if (budget <= 1) {
+      EXPECT_EQ(merge.batches(), 5u);  // one per non-empty bucket
+    }
+  }
+
+  // Chunks whose bucket count disagrees with the totals cannot be merged.
+  EXPECT_THROW(device::SpilledSessionMerge(paths, std::vector<std::uint64_t>(buckets + 1, 0), 8),
+               util::CheckError);
+  // Totals that disagree with the chunks' contents are caught per batch.
+  std::vector<std::uint64_t> wrong = totals;
+  ++wrong[0];
+  device::SpilledSessionMerge bad(paths, wrong, 1000);
+  EXPECT_THROW(bad.next(), util::CheckError);
+  fs::remove_all(dir);
 }
 
 TEST(SessionStream, SpillDirectoryIsRemovedOnDestruction) {
+  // Destroyed part-way through a batch, several batches in: the chunk files
+  // still open for reading must not keep the directory alive.
   auto base = fs::temp_directory_path() / "flint_session_stream_test";
   fs::remove_all(base);
   fs::create_directories(base);
@@ -182,10 +303,11 @@ TEST(SessionStream, SpillDirectoryIsRemovedOnDestruction) {
     device::SessionStreamConfig cfg;
     cfg.generator = small_config();
     cfg.clients_per_chunk = 64;
+    cfg.read_buffer_sessions = 64;
     cfg.spill_dir = base.string();
     util::Rng rng(57);
     auto stream = device::make_session_stream(cfg, catalog, rng);
-    ASSERT_TRUE(stream->next().has_value());
+    for (int i = 0; i < 300; ++i) ASSERT_TRUE(stream->next().has_value());
     EXPECT_FALSE(fs::is_empty(base));  // chunks exist while streaming
   }
   EXPECT_TRUE(fs::is_empty(base));

@@ -204,6 +204,106 @@ TEST(Rng, CategoricalRejectsZeroTotal) {
   EXPECT_THROW(rng.categorical(w), CheckError);
 }
 
+/// The linear scan Rng::categorical ran before CategoricalTable existed: the
+/// reference the table must match draw for draw.
+std::size_t categorical_linear_scan(Rng& rng, const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  double u = rng.uniform(0.0, total);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (u <= acc) return i;
+  }
+  return weights.size() - 1;
+}
+
+TEST(CategoricalTable, MatchesLinearScanDrawForDraw) {
+  std::vector<std::vector<double>> cases = {
+      {1.0},
+      {0.0, 1.0},
+      {1.0, 0.0},
+      {0.0, 0.0, 3.0, 0.0},
+      {1.0, 0.0, 3.0},
+      {0.75, 0.15, 0.10},
+      {1e-300, 1.0, 1e-300, 0.0, 1e-300},
+  };
+  Rng gen(5);
+  std::vector<double> many(48);  // the diurnal-slot table's size, with zeros
+  for (std::size_t i = 0; i < many.size(); ++i) many[i] = i % 7 == 3 ? 0.0 : gen.uniform(0.0, 2.0);
+  cases.push_back(many);
+
+  for (const auto& w : cases) {
+    CategoricalTable table(w);
+    EXPECT_EQ(table.size(), w.size());
+    Rng a(17);
+    Rng b(17);
+    Rng c(17);
+    for (int i = 0; i < 5000; ++i) {
+      const std::size_t expect = categorical_linear_scan(b, w);
+      ASSERT_EQ(table.sample(a), expect) << "draw " << i << " of " << w.size() << " weights";
+      ASSERT_EQ(c.categorical(w), expect);
+    }
+    EXPECT_EQ(a.state(), b.state());  // the same single draw per sample
+    EXPECT_EQ(c.state(), b.state());
+  }
+}
+
+/// Inverse of an odd number modulo 2^64 (Newton's iteration doubles the
+/// correct low bits each step, from 3).
+std::uint64_t inverse_mod_2_64(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// An engine whose next canonical() is exactly `c`, a multiple of 2^-53 in
+/// [0, 1): inverts xoshiro256**'s output function rotl(s[1] * 5, 7) * 9.
+Rng rng_drawing(double c) {
+  const std::uint64_t out = static_cast<std::uint64_t>(c * 0x1.0p53) << 11;
+  const std::uint64_t r = out * inverse_mod_2_64(9);
+  const std::uint64_t s1 = ((r >> 7) | (r << 57)) * inverse_mod_2_64(5);
+  Rng rng;
+  const std::uint64_t words[4] = {1, s1, 2, 3};
+  rng.set_state(words);
+  Rng probe = rng;
+  EXPECT_EQ(probe.canonical(), c);
+  return rng;
+}
+
+TEST(CategoricalTable, DrawsExactlyOnABoundaryTakeTheFirstIndexReachingIt) {
+  // Running sums 1, 1, 2, 4, so u = 4 * canonical(). A u equal to a running
+  // sum goes to the first index reaching it — never to the zero weight that
+  // repeats the sum — and u = 0 goes to index 0 even when its weight is 0.
+  const std::vector<double> w = {1.0, 0.0, 1.0, 2.0};
+  const std::vector<double> leading_zero = {0.0, 1.0};
+  struct Case {
+    const std::vector<double>* weights;
+    double c;
+    std::size_t expect;
+  };
+  const double ulp = 0x1.0p-53;
+  const Case cases[] = {
+      {&w, 0.0, 0},          {&w, 0.25, 0},          {&w, 0.25 + ulp, 2}, {&w, 0.5, 2},
+      {&w, 0.5 + ulp, 3},    {&w, 1.0 - ulp, 3},     {&leading_zero, 0.0, 0},
+      {&leading_zero, ulp, 1},
+  };
+  for (const auto& c : cases) {
+    CategoricalTable table(*c.weights);
+    Rng a = rng_drawing(c.c);
+    Rng b = rng_drawing(c.c);
+    EXPECT_EQ(table.sample(a), c.expect) << "canonical " << c.c;
+    EXPECT_EQ(categorical_linear_scan(b, *c.weights), c.expect) << "canonical " << c.c;
+  }
+}
+
+TEST(CategoricalTable, ChecksWeightsOnceAtConstruction) {
+  EXPECT_THROW(CategoricalTable(std::vector<double>{}), CheckError);
+  EXPECT_THROW(CategoricalTable(std::vector<double>{1.0, -0.5}), CheckError);
+  EXPECT_THROW(CategoricalTable(std::vector<double>{1.0, std::nan("")}), CheckError);
+  EXPECT_THROW(CategoricalTable(std::vector<double>{0.0, 0.0}), CheckError);
+}
+
 class SampleWithoutReplacementTest : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(SampleWithoutReplacementTest, DistinctAndInRange) {
