@@ -14,6 +14,9 @@
 #   2. Capacity: a >=100k-client streaming run must complete and
 #      schema-validate. Sized so sanitizer lanes (which run full ctest) cover
 #      the spill/merge/pool paths at real scale on every PR.
+#   3. Attribution: that run's ledger must spread its clients over at least
+#      two device tiers and two executors. A streaming run that books every
+#      client under one label is mislabelling them (DESIGN.md §17.5).
 #
 # Usage: scale_smoke_test.sh <bench_scale-binary> <source-dir> [python]
 set -euo pipefail
@@ -55,5 +58,18 @@ echo "== >=100k-client streaming run must complete =="
 "$bench" --clients 100000 --spill-dir "$work" \
          --artifact-out "$work/scale100k.json" > /dev/null
 "$py" "$src/tools/validate_trace.py" --artifact "$work/scale100k.json"
+
+echo "== the 100k-client ledger must label clients across tiers and executors =="
+"$py" - "$work/scale100k.json" <<'EOF'
+import json
+import sys
+
+ledger = json.load(open(sys.argv[1]))["ledger"]
+tiers = [r["key"] for r in ledger["by_tier"] if r["clients"] > 0]
+executors = [r["key"] for r in ledger["by_executor"] if r["clients"] > 0]
+print(f"tiers with clients: {tiers}; executors with clients: {len(executors)}")
+if len(tiers) < 2 or len(executors) < 2:
+    sys.exit("every client booked under one tier or on one executor")
+EOF
 
 echo "scale smoke: OK"

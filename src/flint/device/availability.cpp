@@ -60,21 +60,18 @@ std::size_t AvailabilityTrace::client_count() const {
   return n;
 }
 
-std::optional<AvailabilityWindow> AvailabilityTrace::window_at(std::uint64_t client,
-                                                               TraceTime t) const {
+std::optional<std::size_t> AvailabilityTrace::device_of(std::uint64_t client) const {
   if (client + 1 >= by_client_offsets_.size()) return std::nullopt;
-  for (std::size_t i = by_client_offsets_[client]; i < by_client_offsets_[client + 1]; ++i) {
-    const auto& w = windows_[by_client_indices_[i]];
-    if (w.start > t) break;  // indices are sorted by start
-    if (t < w.end) return w;
-  }
-  return std::nullopt;
+  if (by_client_offsets_[client] == by_client_offsets_[client + 1]) return std::nullopt;
+  return windows_[by_client_indices_[by_client_offsets_[client]]].device_index;
 }
 
-bool AvailabilityTrace::is_available(std::uint64_t client, TraceTime t,
-                                     TraceTime duration) const {
-  auto w = window_at(client, t);
-  return w.has_value() && t + duration <= w->end;
+TraceTime AvailabilityTrace::window_seconds(std::uint64_t client) const {
+  TraceTime total = 0.0;
+  if (client + 1 >= by_client_offsets_.size()) return total;
+  for (std::size_t i = by_client_offsets_[client]; i < by_client_offsets_[client + 1]; ++i)
+    total += windows_[by_client_indices_[i]].duration();
+  return total;
 }
 
 TraceTime AvailabilityTrace::horizon() const {
@@ -122,6 +119,10 @@ double AvailabilityTrace::peak_to_trough_ratio() const {
 std::optional<AvailabilityWindow> TraceWindowStream::next() {
   if (cursor_ == trace_->windows().size()) return std::nullopt;
   return trace_->windows()[cursor_++];
+}
+
+std::optional<std::size_t> SessionWindowStream::device_of(std::uint64_t client) const {
+  return sessions_->device_of(client);
 }
 
 std::optional<AvailabilityWindow> SessionWindowStream::next() {

@@ -47,7 +47,7 @@ struct AvailabilityWindow {
 bool window_order(const AvailabilityWindow& a, const AvailabilityWindow& b);
 
 /// Availability trace: criteria-passing windows sorted by start time, plus
-/// per-client window indices for membership queries.
+/// per-client window indices for per-client queries.
 class AvailabilityTrace {
  public:
   AvailabilityTrace() = default;
@@ -59,11 +59,11 @@ class AvailabilityTrace {
   /// Distinct clients with at least one window.
   std::size_t client_count() const;
 
-  /// Is `client` available during the whole of [t, t+duration)?
-  bool is_available(std::uint64_t client, TraceTime t, TraceTime duration) const;
+  /// Device of `client`'s first window; nullopt when it has none.
+  std::optional<std::size_t> device_of(std::uint64_t client) const;
 
-  /// The window covering time t for this client, if any.
-  std::optional<AvailabilityWindow> window_at(std::uint64_t client, TraceTime t) const;
+  /// Total length of `client`'s windows, summed in window order.
+  TraceTime window_seconds(std::uint64_t client) const;
 
   /// End of the observation period (max window end; 0 when empty).
   TraceTime horizon() const;
@@ -98,15 +98,22 @@ class WindowStream {
 
   /// The next window, or nullopt when the trace is exhausted.
   virtual std::optional<AvailabilityWindow> next() = 0;
+
+  /// Device of `client` as a pure function of the stream's inputs, whether
+  /// or not its windows were pulled yet; nullopt when the stream cannot tell.
+  virtual std::optional<std::size_t> device_of(std::uint64_t) const { return std::nullopt; }
 };
 
-/// Streams an already-built AvailabilityTrace (the loopback used by the
-/// streaming-vs-materialized equivalence tests).
+/// Streams an already-built AvailabilityTrace: how a run given a
+/// materialized trace reaches the scheduler.
 class TraceWindowStream : public WindowStream {
  public:
   explicit TraceWindowStream(const AvailabilityTrace& trace) : trace_(&trace) {}
 
   std::optional<AvailabilityWindow> next() override;
+  std::optional<std::size_t> device_of(std::uint64_t client) const override {
+    return trace_->device_of(client);
+  }
 
  private:
   const AvailabilityTrace* trace_;
@@ -124,6 +131,7 @@ class SessionWindowStream : public WindowStream {
       : sessions_(&sessions), criteria_(&criteria), catalog_(&catalog) {}
 
   std::optional<AvailabilityWindow> next() override;
+  std::optional<std::size_t> device_of(std::uint64_t client) const override;
 
  private:
   SessionStream* sessions_;

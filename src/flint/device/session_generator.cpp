@@ -86,11 +86,17 @@ double SessionTraceSampler::horizon() const {
   return static_cast<double>(config_.days) * kSecondsPerDay;
 }
 
+std::size_t SessionTraceSampler::device_of(std::uint64_t client_id) const {
+  util::Rng rng = util::derive_stream(trace_seed_, kSessionTraceStreamId, client_id);
+  return catalog_->sample_device(rng);
+}
+
 std::size_t SessionTraceSampler::append_client(std::uint64_t client_id,
                                                std::vector<Session>& out) const {
   util::Rng rng = util::derive_stream(trace_seed_, kSessionTraceStreamId, client_id);
   const double h = horizon();
 
+  // The device is the substream's first draw; device_of() relies on it.
   const std::size_t device_index = catalog_->sample_device(rng);
   double tz = config_.timezone_offsets_h[timezones_.sample(rng)];
   for (int day = 0; day < config_.days; ++day) {

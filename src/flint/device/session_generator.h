@@ -76,6 +76,10 @@ class SessionTraceSampler {
   /// return its device index.
   std::size_t append_client(std::uint64_t client_id, std::vector<Session>& out) const;
 
+  /// Client `client_id`'s device index — the first draw of its substream,
+  /// the value append_client returns — without generating its sessions.
+  std::size_t device_of(std::uint64_t client_id) const;
+
   const SessionGeneratorConfig& config() const { return config_; }
   /// Trace horizon in seconds: days * 86400.
   double horizon() const;

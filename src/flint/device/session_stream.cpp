@@ -127,6 +127,10 @@ class ChunkedSpillSessionStream : public SessionStream {
   std::optional<Session> next() override { return merge_.next(); }
   std::size_t clients() const override { return sampler_.config().clients; }
   double horizon() const override { return sampler_.horizon(); }
+  std::optional<std::size_t> device_of(std::uint64_t client) const override {
+    if (client >= clients()) return std::nullopt;
+    return sampler_.device_of(client);
+  }
 
  private:
   SpilledSessionMerge spill(const SessionStreamConfig& config) {

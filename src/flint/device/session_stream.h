@@ -35,6 +35,10 @@ class SessionStream {
 
   /// Trace horizon in seconds (days * 86400).
   virtual double horizon() const = 0;
+
+  /// Device of `client`, whether or not its sessions were pulled yet;
+  /// nullopt when the stream cannot tell.
+  virtual std::optional<std::size_t> device_of(std::uint64_t) const { return std::nullopt; }
 };
 
 /// Adapter streaming an already-materialized, session_order-sorted log.
@@ -45,6 +49,10 @@ class MaterializedSessionStream : public SessionStream {
   std::optional<Session> next() override;
   std::size_t clients() const override { return log_.client_device.size(); }
   double horizon() const override { return horizon_; }
+  std::optional<std::size_t> device_of(std::uint64_t client) const override {
+    if (client >= log_.client_device.size()) return std::nullopt;
+    return log_.client_device[client];
+  }
 
  private:
   SessionLog log_;

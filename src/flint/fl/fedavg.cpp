@@ -32,16 +32,11 @@ RunResult run_fedavg(const SyncConfig& config) {
   FLINT_CHECK_GT(config.round_deadline_s, 0.0);
   RunTelemetryScope telemetry_scope(in);
 
-  // Arrivals come from the materialized trace or the lazy window stream —
-  // exactly one is set (validated above); results are identical either way.
-  std::optional<sim::Leader> leader_storage;
-  if (in.trace != nullptr)
-    leader_storage.emplace(in.leader, *in.trace);
-  else
-    leader_storage.emplace(in.leader, *in.window_stream);
-  sim::Leader& leader = *leader_storage;
+  std::optional<device::TraceWindowStream> trace_windows;
+  device::WindowStream& windows = arrival_windows(in, trace_windows);
+  sim::Leader leader(in.leader, windows);
   for (const auto& o : in.outages) leader.executors().add_outage(o);
-  RunAttributionScope attribution_scope(in, leader);
+  RunAttributionScope attribution_scope(in, leader, windows);
   TaskDurationModel durations(in.duration, *in.catalog, *in.bandwidth);
   TrainerPool trainers(in);
 
@@ -97,7 +92,7 @@ RunResult run_fedavg(const SyncConfig& config) {
     ckpt.next_task_id = task_ids;
     ckpt.arrival_cursor = leader.arrivals().cursor();
     ckpt.requeued = checkpoint_requeued(leader.arrivals().requeued_snapshot());
-    ckpt.last_participation = checkpoint_participation(last_participation);
+    ckpt.last_participation = last_participation.sorted_entries();
     ckpt.metrics = leader.metrics().snapshot();
     ckpt.eval_curve = checkpoint_eval_curve(result.eval_curve);
     ckpt.client_accounts = attribution_scope.accounts();
@@ -155,6 +150,7 @@ RunResult run_fedavg(const SyncConfig& config) {
       }
       leader.metrics().on_task_started();
       leader.executors().record_task(leader.executors().executor_of(arr.client_id));
+      attribution_scope.on_dispatch(arr.client_id, arr.device_index);
       last_participation.record(arr.client_id, dispatch_t);
       // The device stays in its availability window after the task; re-offer
       // the window remainder so it can participate in later rounds.

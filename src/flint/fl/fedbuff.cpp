@@ -114,7 +114,7 @@ void fill_checkpoint(FedBuffState& s, store::SimCheckpoint& ckpt) {
   ckpt.next_task_id = s.task_ids;
   ckpt.arrival_cursor = s.leader->arrivals().cursor();
   ckpt.requeued = checkpoint_requeued(s.leader->arrivals().requeued_snapshot());
-  ckpt.last_participation = checkpoint_participation(s.last_participation);
+  ckpt.last_participation = s.last_participation.sorted_entries();
   ckpt.metrics = s.leader->metrics().snapshot();
   ckpt.eval_curve = checkpoint_eval_curve(s.result.eval_curve);
   if (s.attribution != nullptr) ckpt.client_accounts = s.attribution->accounts();
@@ -280,6 +280,7 @@ void dispatch(FedBuffState& s, const sim::Arrival& arrival) {
   s.last_participation.record(arrival.client_id, now);
   s.leader->metrics().on_task_started();
   s.leader->executors().record_task(s.leader->executors().executor_of(arrival.client_id));
+  s.attribution->on_dispatch(arrival.client_id, arrival.device_index);
 
   bool will_interrupt = now + dur.total_s() > arrival.window_end;
   if (will_interrupt) {
@@ -389,14 +390,13 @@ RunResult run_fedbuff(const AsyncConfig& config) {
   FLINT_CHECK_GT(config.max_concurrency, std::size_t{0});
   RunTelemetryScope telemetry_scope(in);
 
+  std::optional<device::TraceWindowStream> trace_windows;
+  device::WindowStream& windows = arrival_windows(in, trace_windows);
   FedBuffState s;
   s.config = &config;
-  // Arrivals come from the materialized trace or the lazy window stream —
-  // exactly one is set (validated above); results are identical either way.
-  s.leader = in.trace != nullptr ? std::make_unique<sim::Leader>(in.leader, *in.trace)
-                                 : std::make_unique<sim::Leader>(in.leader, *in.window_stream);
+  s.leader = std::make_unique<sim::Leader>(in.leader, windows);
   for (const auto& o : in.outages) s.leader->executors().add_outage(o);
-  RunAttributionScope attribution_scope(in, *s.leader);
+  RunAttributionScope attribution_scope(in, *s.leader, windows);
   s.durations = std::make_unique<TaskDurationModel>(in.duration, *in.catalog, *in.bandwidth);
   s.server_opt = std::make_unique<ServerOptimizer>(in.server_lr, in.server_momentum);
   s.trainers = std::make_unique<TrainerPool>(in);
@@ -477,6 +477,7 @@ RunResult run_fedbuff(const AsyncConfig& config) {
       task->update.weight = rec.update_weight;
       task->update.train.delta = rec.update_delta;
       s.in_flight[rec.task_id] = task;
+      attribution_scope.on_dispatch(rec.client_id, task->spec.device_index);
       s.busy.insert(rec.client_id);
       ++s.running;
       bool was_interrupted = rec.interrupted;

@@ -1,8 +1,8 @@
 #include "flint/fl/run_common.h"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "flint/rpc/leader.h"
 #include "flint/util/check.h"
 #include "flint/util/logging.h"
 
@@ -19,10 +19,8 @@ std::size_t client_example_count(const RunInputs& inputs, std::uint64_t client_i
 }
 
 void validate_common_inputs(const RunInputs& inputs) {
-  FLINT_CHECK_MSG(inputs.trace != nullptr || inputs.window_stream != nullptr,
-                  "run needs an availability trace or a window stream");
-  FLINT_CHECK_MSG(inputs.trace == nullptr || inputs.window_stream == nullptr,
-                  "set either a materialized trace or a window stream, not both");
+  FLINT_CHECK_MSG((inputs.trace != nullptr) != (inputs.window_stream != nullptr),
+                  "run needs exactly one of an availability trace or a window stream");
   FLINT_CHECK_MSG(inputs.catalog != nullptr, "run needs a device catalog");
   FLINT_CHECK_MSG(inputs.bandwidth != nullptr, "run needs a bandwidth model");
   if (inputs.model_free) {
@@ -46,54 +44,55 @@ void validate_common_inputs(const RunInputs& inputs) {
   FLINT_CHECK_GT(inputs.threads, std::size_t{0});
 }
 
-RunTelemetryScope::RunTelemetryScope(const RunInputs& inputs) : telemetry_(inputs.telemetry) {
+RunTelemetryScope::RunTelemetryScope(const RunInputs& inputs)
+    : telemetry_(inputs.telemetry), rpc_leader_(inputs.rpc_leader) {
   if (telemetry_ != nullptr && obs::current() != telemetry_) scope_.emplace(telemetry_);
 }
 
 void RunTelemetryScope::finish(RunResult& result) {
   if (telemetry_ == nullptr) return;
+  if (rpc_leader_ != nullptr) rpc_leader_->flush_telemetry();
   telemetry_->snapshot_now();
   if (telemetry_->config().metrics_enabled)
     result.telemetry = telemetry_->metrics().snapshot();
 }
 
-RunAttributionScope::RunAttributionScope(const RunInputs& inputs, sim::Leader& leader)
-    : enabled_(inputs.collect_ledger), leader_(&leader) {
+device::WindowStream& arrival_windows(const RunInputs& inputs,
+                                      std::optional<device::TraceWindowStream>& trace_windows) {
+  if (inputs.window_stream != nullptr) return *inputs.window_stream;
+  return trace_windows.emplace(*inputs.trace);
+}
+
+RunAttributionScope::RunAttributionScope(const RunInputs& inputs, sim::Leader& leader,
+                                         const device::WindowStream& windows)
+    : enabled_(inputs.collect_ledger),
+      leader_(&leader),
+      catalog_(inputs.catalog),
+      trace_(inputs.trace),
+      windows_(&windows) {
   if (!enabled_) return;
-  if (inputs.trace == nullptr) {
-    // Streaming run: there is no materialized trace to pre-classify from
-    // (and walking the population would defeat the point). Clients are
-    // registered lazily on first task completion with unclassified labels;
-    // the accounting totals still reconcile with SimMetrics.
-    leader.metrics().attach_ledger(&ledger_);
-    return;
-  }
-  // Classify every client the trace can offer: device tier from the catalog
-  // profile of its (first-seen) device, availability cohort from how much of
-  // the horizon its windows cover, executor from the pool's assignment.
-  const device::AvailabilityTrace& trace = *inputs.trace;
-  double horizon = trace.horizon();
-  struct Seen {
-    std::size_t device_index = 0;
-    double window_s = 0.0;
-  };
-  std::unordered_map<std::uint64_t, Seen> seen;
-  for (const auto& w : trace.windows()) {
-    auto [it, inserted] = seen.try_emplace(w.client_id);
-    if (inserted) it->second.device_index = w.device_index;
-    it->second.window_s += w.duration();
-  }
-  for (const auto& [client, info] : seen) {
-    device::DeviceTier tier = device::tier_of(inputs.catalog->profile(info.device_index));
-    double coverage = horizon > 0.0 ? info.window_s / horizon : 1.0;
-    AvailabilityCohort cohort = coverage < 0.05   ? AvailabilityCohort::kRare
-                                : coverage < 0.50 ? AvailabilityCohort::kRegular
-                                                  : AvailabilityCohort::kAlwaysOn;
-    ledger_.register_client(client, static_cast<std::uint32_t>(tier),
-                            static_cast<std::uint32_t>(cohort),
-                            static_cast<std::uint32_t>(leader.executors().executor_of(client)));
-  }
+  if (trace_ != nullptr) horizon_ = trace_->horizon();
   leader.metrics().attach_ledger(&ledger_);
+}
+
+void RunAttributionScope::on_dispatch(std::uint64_t client_id, std::size_t device_index) {
+  if (enabled_ && !ledger_.contains(client_id)) classify(client_id, device_index);
+}
+
+void RunAttributionScope::classify(std::uint64_t client_id,
+                                   std::optional<std::size_t> device_index) {
+  std::uint32_t tier = obs::ClientLedger::kUnclassified;
+  if (device_index.has_value())
+    tier = static_cast<std::uint32_t>(device::tier_of(catalog_->profile(*device_index)));
+  std::uint32_t cohort = obs::ClientLedger::kUnclassified;
+  if (trace_ != nullptr) {
+    double coverage = horizon_ > 0.0 ? trace_->window_seconds(client_id) / horizon_ : 1.0;
+    cohort = static_cast<std::uint32_t>(coverage < 0.05   ? AvailabilityCohort::kRare
+                                        : coverage < 0.50 ? AvailabilityCohort::kRegular
+                                                          : AvailabilityCohort::kAlwaysOn);
+  }
+  ledger_.register_client(client_id, tier, cohort,
+                          static_cast<std::uint32_t>(leader_->executors().executor_of(client_id)));
 }
 
 void RunAttributionScope::finish(RunResult& result) {
@@ -112,7 +111,7 @@ std::vector<store::CheckpointClientAccount> RunAttributionScope::accounts() cons
   for (std::uint32_t s = 0; s < ledger_.client_count(); ++s) {
     obs::ClientLedgerEntry e = ledger_.entry_at(s);
     // Skip clients with no activity yet: they exist only as registrations,
-    // which the resumed run re-derives from the trace.
+    // which the resumed run re-derives when it dispatches them.
     if (e.tasks_finished() == 0 && e.compute_s == 0.0 && e.bytes_down == 0) continue;
     out.push_back({e.client_id, e.tasks_succeeded, e.tasks_interrupted, e.tasks_stale,
                    e.tasks_failed, e.compute_s, e.wasted_compute_s, e.bytes_down, e.bytes_up});
@@ -125,6 +124,7 @@ std::vector<store::CheckpointClientAccount> RunAttributionScope::accounts() cons
 void RunAttributionScope::restore(const std::vector<store::CheckpointClientAccount>& accounts) {
   if (!enabled_) return;
   for (const auto& a : accounts) {
+    if (!ledger_.contains(a.client_id)) classify(a.client_id, windows_->device_of(a.client_id));
     obs::ClientLedgerEntry e;
     e.client_id = a.client_id;
     e.tasks_succeeded = a.tasks_succeeded;
@@ -202,11 +202,6 @@ std::vector<std::pair<std::uint64_t, double>> ParticipationPool::sorted_entries(
   for (std::uint32_t s = 0; s < keys_.size(); ++s) out.emplace_back(keys_.key_at(s), times_[s]);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<std::pair<std::uint64_t, double>> checkpoint_participation(
-    const ParticipationPool& last_participation) {
-  return last_participation.sorted_entries();
 }
 
 }  // namespace flint::fl

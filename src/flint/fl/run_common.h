@@ -49,9 +49,9 @@ struct RunInputs {
   double server_momentum = 0.0;
 
   // --- Measured system inputs. Exactly one of `trace` (materialized) or
-  // `window_stream` (streaming, DESIGN.md §17) must be set; the streaming
-  // path yields bit-identical results while keeping resident memory
-  // independent of population size. ---
+  // `window_stream` (streaming, DESIGN.md §17) must be set; both reach the
+  // scheduler as a WindowStream, and only a trace lets the ledger classify
+  // availability cohorts. ---
   const device::AvailabilityTrace* trace = nullptr;
   device::WindowStream* window_stream = nullptr;
   const device::DeviceCatalog* catalog = nullptr;
@@ -168,8 +168,9 @@ void validate_common_inputs(const RunInputs& inputs);
 /// Shared runner-side telemetry plumbing: installs `inputs.telemetry` as the
 /// ambient context for the runner's scope (skipped when it already is, so an
 /// outer ScopedTelemetry keeps working). Call finish(result) just before
-/// returning to take the run's final snapshot — it must happen before the
-/// result is copied out, which is why it is not done in the destructor.
+/// returning to take the run's final snapshot, after flushing rpc executors'
+/// telemetry — it must happen before the result is copied out, which is why
+/// it is not done in the destructor.
 class RunTelemetryScope {
  public:
   explicit RunTelemetryScope(const RunInputs& inputs);
@@ -179,8 +180,15 @@ class RunTelemetryScope {
 
  private:
   obs::Telemetry* telemetry_;
+  rpc::Leader* rpc_leader_;
   std::optional<obs::ScopedTelemetry> scope_;
 };
+
+/// The run's one arrival source (DESIGN.md §17): `inputs.window_stream`, or
+/// `inputs.trace` wrapped in `trace_windows`, which must outlive the Leader
+/// built on the returned stream.
+device::WindowStream& arrival_windows(const RunInputs& inputs,
+                                      std::optional<device::TraceWindowStream>& trace_windows);
 
 /// Availability cohort of a client: the fraction of the trace horizon its
 /// windows cover. `rare` < 5%, `regular` < 50%, `always-on` otherwise —
@@ -188,17 +196,23 @@ class RunTelemetryScope {
 /// only ever trains on always-on devices is the bias §3.2 warns about).
 enum class AvailabilityCohort : std::uint32_t { kRare = 0, kRegular = 1, kAlwaysOn = 2 };
 
-/// Shared attribution plumbing: owns the run's ClientLedger, classifies every
-/// client in the availability trace by device tier (from the catalog) and
-/// availability cohort (window coverage), maps clients to executors, and
-/// attaches the ledger to the leader's SimMetrics so task completions are
-/// mirrored in. finish(result) folds the rollups into the result and detaches
-/// — call it before the result's metrics are copied out, alongside
-/// RunTelemetryScope::finish. No-op throughout when collect_ledger is false.
+/// Shared attribution plumbing: owns the run's ClientLedger, attaches it to
+/// the leader's SimMetrics so task completions are mirrored in, and labels
+/// each client on first touch (DESIGN.md §17.5): tier from its device,
+/// executor from the pool, cohort from window coverage only when the run
+/// holds the whole trace (else "unclassified"). finish(result) folds the
+/// rollups into the result and detaches — call it before the result's metrics
+/// are copied out, alongside RunTelemetryScope::finish. No-op throughout when
+/// collect_ledger is false.
 class RunAttributionScope {
  public:
-  RunAttributionScope(const RunInputs& inputs, sim::Leader& leader);
+  /// `windows` is the run's arrival source (restore() asks it for devices).
+  RunAttributionScope(const RunInputs& inputs, sim::Leader& leader,
+                      const device::WindowStream& windows);
   void finish(RunResult& result);
+
+  /// Classify `client_id` on its first dispatch; later calls are one lookup.
+  void on_dispatch(std::uint64_t client_id, std::size_t device_index);
   RunAttributionScope(const RunAttributionScope&) = delete;
   RunAttributionScope& operator=(const RunAttributionScope&) = delete;
 
@@ -207,13 +221,20 @@ class RunAttributionScope {
   std::vector<store::CheckpointClientAccount> accounts() const;
 
   /// Restore checkpointed accounts into the ledger (resume path; no-op when
-  /// attribution is disabled). Classifications registered at construction
-  /// are kept — only the counters are overwritten.
+  /// attribution is disabled). A restored client may never arrive again, so
+  /// it is classified here from the arrival source's device_of(), a pure
+  /// function of the run's inputs.
   void restore(const std::vector<store::CheckpointClientAccount>& accounts);
 
  private:
+  void classify(std::uint64_t client_id, std::optional<std::size_t> device_index);
+
   bool enabled_;
   sim::Leader* leader_;
+  const device::DeviceCatalog* catalog_;
+  const device::AvailabilityTrace* trace_;  ///< null unless the run holds the whole trace
+  const device::WindowStream* windows_;
+  double horizon_ = 0.0;                    ///< trace_'s horizon
   obs::ClientLedger ledger_;
 };
 
@@ -264,9 +285,6 @@ class ParticipationPool {
       times_[slot] = when;
   }
 
-  /// Distinct clients recorded.
-  std::size_t size() const { return keys_.size(); }
-
   /// All entries sorted by client id (the order-independent checkpoint form).
   std::vector<std::pair<std::uint64_t, double>> sorted_entries() const;
 
@@ -279,9 +297,5 @@ class ParticipationPool {
   util::KeyInterner keys_;
   util::ChunkedColumn<double> times_;
 };
-
-/// Sorted by client id so the serialized form is order-independent.
-std::vector<std::pair<std::uint64_t, double>> checkpoint_participation(
-    const ParticipationPool& last_participation);
 
 }  // namespace flint::fl

@@ -1,34 +1,19 @@
 #include "flint/obs/client_ledger.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "flint/util/check.h"
 
 namespace flint::obs {
 
-const char* ledger_outcome_name(LedgerOutcome outcome) {
-  switch (outcome) {
-    case LedgerOutcome::kSucceeded: return "succeeded";
-    case LedgerOutcome::kInterrupted: return "interrupted";
-    case LedgerOutcome::kStale: return "stale";
-    case LedgerOutcome::kFailed: return "failed";
-  }
-  return "?";
-}
+namespace {
 
-ClientLedger::ClientLedger()
-    : tier_labels_{"high-end", "mid-range", "low-end"},
-      cohort_labels_{"rare", "regular", "always-on"} {}
+// Display names of the tier and cohort axes, in label-index order.
+constexpr const char* kTierLabels[] = {"high-end", "mid-range", "low-end"};
+constexpr const char* kCohortLabels[] = {"rare", "regular", "always-on"};
 
-void ClientLedger::set_tier_labels(std::vector<std::string> labels) {
-  FLINT_CHECK_MSG(!labels.empty(), "ledger needs at least one tier label");
-  tier_labels_ = std::move(labels);
-}
-
-void ClientLedger::set_cohort_labels(std::vector<std::string> labels) {
-  FLINT_CHECK_MSG(!labels.empty(), "ledger needs at least one cohort label");
-  cohort_labels_ = std::move(labels);
-}
+}  // namespace
 
 std::uint32_t ClientLedger::slot(std::uint64_t client_id) {
   std::uint32_t s = keys_.intern(client_id);
@@ -123,6 +108,16 @@ void ClientLedger::on_task_finished(std::uint64_t client_id, LedgerOutcome outco
 
 namespace {
 
+/// The row a tier/cohort index folds into: its label's row (clamped to the
+/// last of `labelled`), or a trailing "unclassified" row added on first use.
+LedgerRollup& label_row(std::vector<LedgerRollup>& rows, std::size_t labelled,
+                        std::uint32_t index) {
+  if (index != ClientLedger::kUnclassified)
+    return rows[std::min<std::size_t>(index, labelled - 1)];
+  if (rows.size() == labelled) rows.push_back(LedgerRollup{"unclassified"});
+  return rows.back();
+}
+
 void fold(LedgerRollup& rollup, const ClientLedgerEntry& e) {
   ++rollup.clients;
   rollup.tasks_succeeded += e.tasks_succeeded;
@@ -140,11 +135,8 @@ void fold(LedgerRollup& rollup, const ClientLedgerEntry& e) {
 ClientLedgerSummary ClientLedger::summary(std::size_t top_k) const {
   ClientLedgerSummary out;
   out.totals.key = "all";
-  out.by_tier.resize(tier_labels_.size());
-  for (std::size_t i = 0; i < tier_labels_.size(); ++i) out.by_tier[i].key = tier_labels_[i];
-  out.by_cohort.resize(cohort_labels_.size());
-  for (std::size_t i = 0; i < cohort_labels_.size(); ++i)
-    out.by_cohort[i].key = cohort_labels_[i];
+  for (const char* label : kTierLabels) out.by_tier.push_back(LedgerRollup{label});
+  for (const char* label : kCohortLabels) out.by_cohort.push_back(LedgerRollup{label});
 
   // Materialize the active accounts and fold them in ascending client-id
   // order, never slot (first-touch) order. The rollups accumulate doubles,
@@ -173,8 +165,8 @@ ClientLedgerSummary ClientLedger::summary(std::size_t top_k) const {
 
   for (const ClientLedgerEntry& e : ordered) {
     fold(out.totals, e);
-    fold(out.by_tier[std::min<std::size_t>(e.tier, out.by_tier.size() - 1)], e);
-    fold(out.by_cohort[std::min<std::size_t>(e.cohort, out.by_cohort.size() - 1)], e);
+    fold(label_row(out.by_tier, std::size(kTierLabels), e.tier), e);
+    fold(label_row(out.by_cohort, std::size(kCohortLabels), e.cohort), e);
     fold(out.by_executor[e.executor], e);
   }
   // Drop trailing executors with no work so sparse assignments stay compact.

@@ -10,8 +10,8 @@
 //             was eligible for work: rare / regular / always-on)
 //
 // obs sits below device/ in the layering, so tiers and cohorts arrive here as
-// small label indices plus display names; the ledger never names a
-// DeviceProfile. Aggregation happens at summary() time: per-tier and
+// small label indices (the ledger owns their display names); it never names
+// a DeviceProfile. Aggregation happens at summary() time: per-tier and
 // per-cohort rollups, whole-run totals (which must reconcile with SimMetrics
 // — a ctest enforces it), and the top-K stragglers by wasted compute.
 //
@@ -35,13 +35,11 @@ namespace flint::obs {
 /// depending on sim (obs is below it).
 enum class LedgerOutcome { kSucceeded, kInterrupted, kStale, kFailed };
 
-const char* ledger_outcome_name(LedgerOutcome outcome);
-
 /// One client's accumulated account.
 struct ClientLedgerEntry {
   std::uint64_t client_id = 0;
-  std::uint32_t tier = 0;      ///< index into ClientLedger::tier_labels()
-  std::uint32_t cohort = 0;    ///< index into ClientLedger::cohort_labels()
+  std::uint32_t tier = 0;      ///< high-end, mid-range, low-end; or kUnclassified
+  std::uint32_t cohort = 0;    ///< rare, regular, always-on; or kUnclassified
   std::uint32_t executor = 0;  ///< owning executor in the simulated cluster
 
   std::uint64_t tasks_succeeded = 0;
@@ -99,20 +97,19 @@ struct ClientLedgerSummary {
 /// so partially-wired feeders still reconcile in totals.
 class ClientLedger {
  public:
-  ClientLedger();
+  /// Tier or cohort index for a client whose label the feeder cannot know.
+  /// It folds into a trailing "unclassified" row, which summary() adds only
+  /// when some active client carries it.
+  static constexpr std::uint32_t kUnclassified = 0xFFFFFFFFu;
 
-  /// Install display names for the tier/cohort axes (defaults cover the
-  /// standard three-tier / three-cohort classification).
-  void set_tier_labels(std::vector<std::string> labels);
-  void set_cohort_labels(std::vector<std::string> labels);
-  const std::vector<std::string>& tier_labels() const { return tier_labels_; }
-  const std::vector<std::string>& cohort_labels() const { return cohort_labels_; }
-
-  /// Classify a client. Indices beyond the label vectors are clamped at
-  /// summary time. Re-registering overwrites the classification but keeps
-  /// the accumulated account.
+  /// Classify a client. Indices beyond the three labels of an axis (other
+  /// than kUnclassified) are clamped at summary time. Re-registering overwrites
+  /// the classification but keeps the accumulated account.
   void register_client(std::uint64_t client_id, std::uint32_t tier, std::uint32_t cohort,
                        std::uint32_t executor);
+
+  /// Has `client_id` been registered or attributed yet?
+  bool contains(std::uint64_t client_id) const { return keys_.find(client_id).has_value(); }
 
   /// Attribute one finished task. `compute_s` is the compute actually spent
   /// (partial for interrupted tasks); it counts as wasted unless the outcome
@@ -156,8 +153,6 @@ class ClientLedger {
   util::ChunkedColumn<double> wasted_compute_s_;
   util::ChunkedColumn<std::uint64_t> bytes_down_;
   util::ChunkedColumn<std::uint64_t> bytes_up_;
-  std::vector<std::string> tier_labels_;
-  std::vector<std::string> cohort_labels_;
 };
 
 }  // namespace flint::obs

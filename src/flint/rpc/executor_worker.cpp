@@ -120,8 +120,15 @@ void ExecutorWorker::run() {
         }
         break;
       }
+      case MessageType::kFlush:
       case MessageType::kShutdown:
-        return;
+        // Ship the telemetry deltas since the last rate-limited beat, then
+        // echo the request: the leader drains until the echo, so they reach
+        // its registry before it snapshots (Flush) or hangs up (Shutdown).
+        send_heartbeat();
+        if (!transport_.send(Frame{frame.type, {}}) || frame.type == MessageType::kShutdown)
+          return;
+        break;
       default:
         FLINT_CHECK_MSG(false, "executor received unexpected "
                                    << message_type_name(frame.type));

@@ -10,7 +10,7 @@ namespace {
 
 bool known_type(std::uint16_t raw) {
   return raw >= static_cast<std::uint16_t>(MessageType::kRegisterExecutor) &&
-         raw <= static_cast<std::uint16_t>(MessageType::kShutdown);
+         raw <= static_cast<std::uint16_t>(MessageType::kFlush);
 }
 
 }  // namespace
@@ -23,6 +23,7 @@ const char* message_type_name(MessageType type) {
     case MessageType::kTaskLease: return "TaskLease";
     case MessageType::kTaskResult: return "TaskResult";
     case MessageType::kShutdown: return "Shutdown";
+    case MessageType::kFlush: return "Flush";
   }
   return "Unknown";
 }

@@ -40,6 +40,7 @@ enum class MessageType : std::uint16_t {
   kTaskLease = 4,         ///< leader -> executor: one client-training task
   kTaskResult = 5,        ///< executor -> leader: the computed update
   kShutdown = 6,          ///< leader -> executor: drain and exit
+  kFlush = 7,             ///< leader -> executor: ship telemetry now (no payload)
 };
 
 const char* message_type_name(MessageType type);

@@ -6,6 +6,7 @@
 
 #include "flint/obs/telemetry.h"
 #include "flint/util/check.h"
+#include "flint/util/logging.h"
 
 namespace flint::rpc {
 
@@ -214,6 +215,8 @@ void Leader::handle_frame(std::uint64_t executor_id, const Frame& frame) {
       update_fleet_gauges(it->second.executor);
       return;
     }
+    case MessageType::kFlush:
+      return;  // a flush echo that arrived after its drain timed out
     default:
       FLINT_CHECK_MSG(false, "leader received unexpected "
                                  << message_type_name(frame.type) << " from executor "
@@ -329,14 +332,38 @@ std::size_t Leader::alive_executors() const {
   return n;
 }
 
+void Leader::request_and_drain(const Frame& request) {
+  for (auto& [id, executor] : executors_)
+    if (executor.alive) executor.transport->send(request);
+  // Each executor answers with a heartbeat carrying its telemetry deltas
+  // since its last rate-limited beat, then echoes the request. Merge
+  // everything up to the echo, but wait no longer than one heartbeat timeout
+  // in all: a hung executor must not hold up the run or its exit.
+  const double deadline = now_s() + config_.heartbeat_timeout_s;
+  for (auto& [id, executor] : executors_) {
+    Frame reply;
+    try {
+      while (executor.alive && deadline > now_s() &&
+             executor.transport->recv(reply, deadline - now_s()) == RecvStatus::kFrame &&
+             reply.type != request.type)
+        handle_frame(id, reply);
+    } catch (const util::CheckError& e) {
+      // Also runs from the destructor (via shutdown), so a bad frame ends
+      // this executor's drain instead of propagating.
+      FLINT_LOG_WARN << "executor " << id << " sent a bad frame while draining: " << e.what();
+    }
+  }
+}
+
+void Leader::flush_telemetry() { request_and_drain(Frame{MessageType::kFlush, {}}); }
+
 void Leader::shutdown(const std::string& reason) {
   shut_down_ = true;
   ShutdownMsg msg;
   msg.reason = reason;
-  Frame frame{MessageType::kShutdown, msg.serialize()};
+  request_and_drain(Frame{MessageType::kShutdown, msg.serialize()});
   for (auto& [id, executor] : executors_) {
     if (!executor.alive) continue;
-    executor.transport->send(frame);
     executor.transport->close();
     executor.alive = false;
   }

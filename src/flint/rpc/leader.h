@@ -70,7 +70,14 @@ class Leader {
   /// Bound TCP port of the listener (0 when there is none / it is Unix).
   std::uint16_t listen_port() const;
 
-  /// Send Shutdown to every live executor and close all transports.
+  /// Have every live executor ship its telemetry deltas now, and merge them
+  /// (waiting at most heartbeat_timeout_s in all). Runners call it before
+  /// their final snapshot, so no delta after an executor's last rate-limited
+  /// heartbeat is lost.
+  void flush_telemetry();
+
+  /// Send Shutdown to every live executor, merge the final heartbeat each
+  /// answers with (as flush_telemetry does), and close all transports.
   void shutdown(const std::string& reason);
 
   const LeaderConfig& config() const { return config_; }
@@ -83,6 +90,9 @@ class Leader {
   /// executor, block on it for up to `block_s`.
   void pump(std::uint64_t focus, double block_s);
   void handle_frame(std::uint64_t executor_id, const Frame& frame);
+  /// Send `request` to every live executor and merge what each sends until
+  /// it echoes the request's type back (Flush and Shutdown).
+  void request_and_drain(const Frame& request);
   void check_deadlines();
   void lose_executor(std::uint64_t executor_id, const char* why);
   void dispatch(std::uint64_t lease_id);

@@ -5,13 +5,6 @@
 
 namespace flint::sim {
 
-Leader::Leader(const LeaderConfig& config, const device::AvailabilityTrace& trace)
-    : config_(config), arrivals_(trace), executors_(config.executor_count) {
-  if (config_.checkpoint_every_rounds > 0)
-    FLINT_CHECK_MSG(config_.checkpoint_store != nullptr,
-                    "checkpoint cadence set but no checkpoint store provided");
-}
-
 Leader::Leader(const LeaderConfig& config, device::WindowStream& windows)
     : config_(config), arrivals_(windows), executors_(config.executor_count) {
   if (config_.checkpoint_every_rounds > 0)

@@ -27,9 +27,8 @@ struct LeaderConfig {
 /// Shared leader state. FL runners own one and drive it.
 class Leader {
  public:
-  Leader(const LeaderConfig& config, const device::AvailabilityTrace& trace);
-  /// Streaming variant: arrivals come from a lazy window stream instead of a
-  /// materialized trace (DESIGN.md §17). The stream must outlive the leader.
+  /// Arrivals come from `windows` (DESIGN.md §17), which must outlive the
+  /// leader.
   Leader(const LeaderConfig& config, device::WindowStream& windows);
 
   EventQueue& queue() { return queue_; }

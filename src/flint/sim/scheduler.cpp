@@ -4,15 +4,9 @@
 
 namespace flint::sim {
 
-ArrivalScheduler::ArrivalScheduler(const device::AvailabilityTrace& trace) : trace_(&trace) {}
-
 ArrivalScheduler::ArrivalScheduler(device::WindowStream& stream) : stream_(&stream) {}
 
 const device::AvailabilityWindow* ArrivalScheduler::peek_window() {
-  if (trace_ != nullptr) {
-    const auto& windows = trace_->windows();
-    return cursor_ < windows.size() ? &windows[cursor_] : nullptr;
-  }
   if (!lookahead_.has_value() && !stream_exhausted_) {
     lookahead_ = stream_->next();
     if (!lookahead_.has_value()) stream_exhausted_ = true;
@@ -25,7 +19,7 @@ void ArrivalScheduler::pop_window() {
   lookahead_.reset();
 }
 
-std::optional<Arrival> ArrivalScheduler::trace_candidate(VirtualTime t) {
+std::optional<Arrival> ArrivalScheduler::window_candidate(VirtualTime t) {
   while (const auto* w = peek_window()) {
     if (w->end <= t) {
       pop_window();  // window fully in the past: consume silently
@@ -46,18 +40,18 @@ std::optional<Arrival> ArrivalScheduler::next(VirtualTime t) {
   while (!requeued_.empty() && requeued_.top().arrival.window_end <= t) requeued_.pop();
 
   std::optional<Arrival> picked;
-  std::optional<Arrival> from_trace = trace_candidate(t);
+  std::optional<Arrival> from_source = window_candidate(t);
   if (!requeued_.empty()) {
     Arrival r = requeued_.top().arrival;
     r.time = std::max(r.time, t);
-    if (!from_trace.has_value() || r.time <= from_trace->time) {
+    if (!from_source.has_value() || r.time <= from_source->time) {
       requeued_.pop();
       picked = r;
     }
   }
-  if (!picked.has_value() && from_trace.has_value()) {
+  if (!picked.has_value() && from_source.has_value()) {
     pop_window();  // consume the source window
-    picked = from_trace;
+    picked = from_source;
   }
   if (picked.has_value()) {
     // Priority order: arrivals are delivered at or after the query time and
@@ -70,9 +64,9 @@ std::optional<Arrival> ArrivalScheduler::next(VirtualTime t) {
 
 std::optional<VirtualTime> ArrivalScheduler::peek_time(VirtualTime t) {
   while (!requeued_.empty() && requeued_.top().arrival.window_end <= t) requeued_.pop();
-  std::optional<Arrival> from_trace = trace_candidate(t);
+  std::optional<Arrival> from_source = window_candidate(t);
   std::optional<VirtualTime> best;
-  if (from_trace.has_value()) best = from_trace->time;
+  if (from_source.has_value()) best = from_source->time;
   if (!requeued_.empty()) {
     VirtualTime rt = std::max(requeued_.top().arrival.time, t);
     if (!best.has_value() || rt < *best) best = rt;
@@ -88,11 +82,6 @@ void ArrivalScheduler::requeue(Arrival arrival, VirtualTime retry_time) {
   requeued_.push({arrival, next_requeue_seq_++});
 }
 
-std::size_t ArrivalScheduler::remaining_windows() const {
-  FLINT_CHECK_MSG(trace_ != nullptr, "remaining_windows() needs a trace-backed scheduler");
-  return trace_->windows().size() - cursor_;
-}
-
 std::vector<Arrival> ArrivalScheduler::requeued_snapshot() const {
   auto copy = requeued_;
   std::vector<Arrival> out;
@@ -105,17 +94,12 @@ std::vector<Arrival> ArrivalScheduler::requeued_snapshot() const {
 }
 
 void ArrivalScheduler::restore(std::size_t cursor, const std::vector<Arrival>& requeued) {
-  if (trace_ != nullptr) {
-    FLINT_CHECK_LE(cursor, trace_->windows().size());
-    cursor_ = cursor;
-  } else {
-    // A stream only moves forward: replay (discard) windows up to the
-    // checkpoint cursor. Restoring backwards would need a fresh stream.
-    FLINT_CHECK_GE(cursor, cursor_);
-    while (cursor_ < cursor) {
-      FLINT_CHECK_MSG(peek_window() != nullptr, "restore cursor past end of window stream");
-      pop_window();
-    }
+  // A stream only moves forward: replay (discard) windows up to the
+  // checkpoint cursor. Restoring backwards would need a fresh stream.
+  FLINT_CHECK_GE(cursor, cursor_);
+  while (cursor_ < cursor) {
+    FLINT_CHECK_MSG(peek_window() != nullptr, "restore cursor past end of window stream");
+    pop_window();
   }
   requeued_ = {};
   next_requeue_seq_ = 0;

@@ -26,15 +26,13 @@ struct Arrival {
   VirtualTime window_end = 0.0;    ///< end of the availability window
 };
 
-/// Ordered stream of arrivals over an availability trace, or over a lazy
-/// WindowStream (same arrival sequence, no materialized window vector).
+/// Ordered stream of arrivals over a WindowStream — the one arrival source
+/// (DESIGN.md §17). A materialized trace arrives through TraceWindowStream.
 class ArrivalScheduler {
  public:
-  explicit ArrivalScheduler(const device::AvailabilityTrace& trace);
-  /// Streaming source (DESIGN.md §17). The stream must outlive the scheduler
-  /// and yield windows non-decreasing in start; the scheduler consumes it
-  /// through a one-window lookahead, so population size never lands in
-  /// resident memory here.
+  /// The stream must outlive the scheduler and yield windows non-decreasing
+  /// in start; the scheduler consumes it through a one-window lookahead, so
+  /// population size never lands in resident memory here.
   explicit ArrivalScheduler(device::WindowStream& stream);
 
   /// Earliest arrival with effective time >= t. Windows already open at t
@@ -51,10 +49,6 @@ class ArrivalScheduler {
   /// dispatched (busy executor, concurrency cap).
   void requeue(Arrival arrival, VirtualTime retry_time);
 
-  /// Windows not yet consumed from the trace (requeued arrivals excluded).
-  /// Trace-backed schedulers only: a stream does not know its length.
-  std::size_t remaining_windows() const;
-
   /// Windows already consumed from the source — the checkpoint cursor.
   std::size_t cursor() const { return cursor_; }
 
@@ -63,10 +57,9 @@ class ArrivalScheduler {
   std::vector<Arrival> requeued_snapshot() const;
 
   /// Restore checkpointed state: the window cursor plus requeued arrivals in
-  /// the order requeued_snapshot() returned them. The trace (or stream)
-  /// passed to the constructor must match the one the checkpointed run used;
-  /// a stream-backed scheduler can only restore forward (it replays the
-  /// stream up to the cursor).
+  /// the order requeued_snapshot() returned them. The stream passed to the
+  /// constructor must yield the windows the checkpointed run saw; restore
+  /// only moves forward (it replays the stream up to the cursor).
   void restore(std::size_t cursor, const std::vector<Arrival>& requeued);
 
  private:
@@ -84,14 +77,13 @@ class ArrivalScheduler {
     }
   };
 
-  std::optional<Arrival> trace_candidate(VirtualTime t);
-  // Unified view over the two sources: the head window not yet consumed
-  // (nullptr when exhausted), and its consumption.
+  std::optional<Arrival> window_candidate(VirtualTime t);
+  // The head window not yet consumed (nullptr when exhausted), and its
+  // consumption.
   const device::AvailabilityWindow* peek_window();
   void pop_window();
 
-  const device::AvailabilityTrace* trace_ = nullptr;
-  device::WindowStream* stream_ = nullptr;
+  device::WindowStream* stream_;
   std::optional<device::AvailabilityWindow> lookahead_;
   bool stream_exhausted_ = false;
   std::size_t cursor_ = 0;

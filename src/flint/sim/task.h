@@ -16,16 +16,6 @@ enum class TaskOutcome {
   kFailed,       ///< infrastructure failure (executor outage)
 };
 
-inline const char* outcome_name(TaskOutcome o) {
-  switch (o) {
-    case TaskOutcome::kSucceeded: return "succeeded";
-    case TaskOutcome::kInterrupted: return "interrupted";
-    case TaskOutcome::kStale: return "stale";
-    case TaskOutcome::kFailed: return "failed";
-  }
-  return "?";
-}
-
 /// A dispatched client task.
 struct TaskSpec {
   std::uint64_t task_id = 0;

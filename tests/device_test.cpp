@@ -213,20 +213,21 @@ TEST(AvailabilityTrace, WindowQueries) {
   std::vector<AvailabilityWindow> windows = {
       {1, 0, 100.0, 200.0},
       {1, 0, 300.0, 400.0},
-      {2, 0, 50.0, 500.0},
+      {2, 4, 50.0, 500.0},
   };
   AvailabilityTrace trace(windows);
   EXPECT_EQ(trace.window_count(), 3u);
   EXPECT_EQ(trace.client_count(), 2u);
-  EXPECT_TRUE(trace.is_available(1, 150.0, 10.0));
-  EXPECT_FALSE(trace.is_available(1, 150.0, 100.0));  // runs past window end
-  EXPECT_FALSE(trace.is_available(1, 250.0, 10.0));   // gap between windows
-  EXPECT_TRUE(trace.is_available(2, 400.0, 50.0));
-  EXPECT_FALSE(trace.is_available(99, 100.0, 1.0));
   EXPECT_DOUBLE_EQ(trace.horizon(), 500.0);
-  auto w = trace.window_at(1, 350.0);
-  ASSERT_TRUE(w.has_value());
-  EXPECT_DOUBLE_EQ(w->start, 300.0);
+  // Per-client queries read the CSR index: device of the first window, and
+  // the summed window length.
+  EXPECT_EQ(trace.device_of(1), std::optional<std::size_t>(0));
+  EXPECT_EQ(trace.device_of(2), std::optional<std::size_t>(4));
+  EXPECT_FALSE(trace.device_of(0).has_value());   // id below the max, no windows
+  EXPECT_FALSE(trace.device_of(99).has_value());  // id past the index
+  EXPECT_DOUBLE_EQ(trace.window_seconds(1), 200.0);
+  EXPECT_DOUBLE_EQ(trace.window_seconds(2), 450.0);
+  EXPECT_DOUBLE_EQ(trace.window_seconds(99), 0.0);
 }
 
 TEST(AvailabilityTrace, Figure2FluctuationIsLarge) {
@@ -253,7 +254,8 @@ TEST(AvailabilityTrace, EmptyTraceBehaves) {
   EXPECT_EQ(trace.window_count(), 0u);
   EXPECT_EQ(trace.client_count(), 0u);
   EXPECT_DOUBLE_EQ(trace.horizon(), 0.0);
-  EXPECT_FALSE(trace.is_available(0, 0.0, 1.0));
+  EXPECT_FALSE(trace.device_of(0).has_value());
+  EXPECT_DOUBLE_EQ(trace.window_seconds(0), 0.0);
 }
 
 }  // namespace

@@ -172,7 +172,8 @@ device::AvailabilityTrace five_client_trace() {
 
 TEST(SelectCohort, TakesEarliestArrivals) {
   auto trace = five_client_trace();
-  sim::ArrivalScheduler sched(trace);
+  device::TraceWindowStream windows(trace);
+  sim::ArrivalScheduler sched(windows);
   auto cohort = select_cohort(sched, 0.0, 3, nullptr, 1000.0);
   ASSERT_EQ(cohort.size(), 3u);
   EXPECT_EQ(cohort[0].client_id, 0u);
@@ -181,7 +182,8 @@ TEST(SelectCohort, TakesEarliestArrivals) {
 
 TEST(SelectCohort, ExcludesCoolingClients) {
   auto trace = five_client_trace();
-  sim::ArrivalScheduler sched(trace);
+  device::TraceWindowStream windows(trace);
+  sim::ArrivalScheduler sched(windows);
   // Client 1 is excluded until t=500.
   auto cohort = select_cohort(
       sched, 0.0, 3,
@@ -202,7 +204,8 @@ TEST(SelectCohort, ExcludesCoolingClients) {
 
 TEST(SelectCohort, LapsedExclusionIsEligible) {
   auto trace = five_client_trace();
-  sim::ArrivalScheduler sched(trace);
+  device::TraceWindowStream windows(trace);
+  sim::ArrivalScheduler sched(windows);
   // Exclusion time in the past: client stays eligible.
   auto cohort = select_cohort(
       sched, 100.0, 5,
@@ -212,7 +215,8 @@ TEST(SelectCohort, LapsedExclusionIsEligible) {
 
 TEST(SelectCohort, MaxWaitLimitsLateArrivals) {
   auto trace = five_client_trace();
-  sim::ArrivalScheduler sched(trace);
+  device::TraceWindowStream windows(trace);
+  sim::ArrivalScheduler sched(windows);
   // Clients arrive at 0, 10, 20, 30, 40; with max_wait 15 only 0, 10 qualify.
   auto cohort = select_cohort(sched, 0.0, 5, nullptr, 15.0);
   EXPECT_EQ(cohort.size(), 2u);
@@ -220,7 +224,8 @@ TEST(SelectCohort, MaxWaitLimitsLateArrivals) {
 
 TEST(SelectCohort, ReturnsEmptyWhenExhausted) {
   auto trace = five_client_trace();
-  sim::ArrivalScheduler sched(trace);
+  device::TraceWindowStream windows(trace);
+  sim::ArrivalScheduler sched(windows);
   select_cohort(sched, 0.0, 5, nullptr, 1000.0);
   auto cohort = select_cohort(sched, 0.0, 5, nullptr, 1000.0);
   EXPECT_TRUE(cohort.empty());

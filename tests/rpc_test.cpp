@@ -21,6 +21,7 @@
 #include "flint/rpc/messages.h"
 #include "flint/rpc/transport.h"
 #include "flint/util/check.h"
+#include "flint/util/logging.h"
 #include "flint/util/rng.h"
 #include "flint/util/thread_pool.h"
 
@@ -723,6 +724,49 @@ TEST(LeaderExecutor, LoopbackRunPropagatesSpans) {
         << " matches no dispatch span";
     EXPECT_TRUE(dispatch_trace_ids.count(e.trace_id));
   }
+}
+
+TEST(LeaderExecutor, FlushAndShutdownMergeTelemetryAfterTheLastHeartbeat) {
+  // Executors ship metric deltas only in rate-limited heartbeats, so every
+  // lease served after the last beat would be lost if a run snapshotted, or
+  // shutdown closed, without asking. Beats here are a minute apart: the only
+  // ones are the first (before any lease) and those the executor answers
+  // Flush and Shutdown with. The worker ships the process-wide registry,
+  // which with one executor holds exactly that executor's rpc.leases_served.
+  obs::TelemetryConfig tc;
+  tc.metrics_enabled = true;
+  obs::Telemetry telemetry(std::move(tc));
+  obs::ScopedTelemetry scoped(&telemetry);
+
+  constexpr std::uint64_t kLeases = 25;
+  rpc::LeaderConfig config;
+  config.dense_dim = 3;
+  config.heartbeat_interval_s = 60.0;
+  config.heartbeat_timeout_s = 120.0;
+  rpc::Leader leader(config);
+  util::ThreadPool pool(1);
+  auto [leader_end, worker_end] = rpc::LoopbackTransport::make_pair();
+  std::shared_ptr<rpc::Transport> endpoint = std::move(worker_end);
+  auto worker = pool.submit([endpoint] {
+    StubService service;
+    rpc::ExecutorWorker w(*endpoint, service, "shipping", /*ship_telemetry=*/true);
+    w.run();
+  });
+  leader.add_transport(std::move(leader_end));
+  const std::string merged = obs::executor_series_label("rpc.leases_served", 1);
+  auto serve = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) leader.wait(leader.submit(stub_lease(500 + i, i)));
+  };
+  serve(kLeases);
+  leader.flush_telemetry();  // what a runner does before its final snapshot
+  EXPECT_EQ(telemetry.metrics().counter(merged).value(), kLeases);
+
+  serve(5);
+  leader.shutdown("test done");
+  worker.get();
+  util::Logger::instance().set_role("");  // the shipping worker claimed the log role
+  EXPECT_EQ(telemetry.metrics().counter("rpc.leases_served").value(), kLeases + 5);
+  EXPECT_EQ(telemetry.metrics().counter(merged).value(), kLeases + 5);
 }
 
 TEST(LeaderExecutor, AllExecutorsDeadThrows) {

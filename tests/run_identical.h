@@ -10,6 +10,27 @@
 
 namespace flint::test {
 
+inline void expect_identical_rollup(const obs::LedgerRollup& a, const obs::LedgerRollup& b) {
+  SCOPED_TRACE(a.key);
+  EXPECT_EQ(a.key, b.key);
+  EXPECT_EQ(a.clients, b.clients);
+  EXPECT_EQ(a.tasks_succeeded, b.tasks_succeeded);
+  EXPECT_EQ(a.tasks_interrupted, b.tasks_interrupted);
+  EXPECT_EQ(a.tasks_stale, b.tasks_stale);
+  EXPECT_EQ(a.tasks_failed, b.tasks_failed);
+  EXPECT_EQ(a.compute_s, b.compute_s);
+  EXPECT_EQ(a.wasted_compute_s, b.wasted_compute_s);
+  EXPECT_EQ(a.bytes_down, b.bytes_down);
+  EXPECT_EQ(a.bytes_up, b.bytes_up);
+}
+
+inline void expect_identical_rollups(const std::vector<obs::LedgerRollup>& a,
+                                     const std::vector<obs::LedgerRollup>& b, const char* axis) {
+  SCOPED_TRACE(axis);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) expect_identical_rollup(a[i], b[i]);
+}
+
 inline void expect_identical_runs(const fl::RunResult& a, const fl::RunResult& b,
                                   const char* label) {
   SCOPED_TRACE(label);
@@ -52,17 +73,12 @@ inline void expect_identical_runs(const fl::RunResult& a, const fl::RunResult& b
     EXPECT_EQ(a.metrics.checkpoints()[i].time, b.metrics.checkpoints()[i].time);
   }
 
-  // Attribution rollups: totals reconcile with the counters above by
-  // construction, so comparing the totals row covers the ledger.
-  EXPECT_EQ(a.ledger.totals.clients, b.ledger.totals.clients);
-  EXPECT_EQ(a.ledger.totals.tasks_succeeded, b.ledger.totals.tasks_succeeded);
-  EXPECT_EQ(a.ledger.totals.tasks_interrupted, b.ledger.totals.tasks_interrupted);
-  EXPECT_EQ(a.ledger.totals.tasks_stale, b.ledger.totals.tasks_stale);
-  EXPECT_EQ(a.ledger.totals.tasks_failed, b.ledger.totals.tasks_failed);
-  EXPECT_EQ(a.ledger.totals.compute_s, b.ledger.totals.compute_s);
-  EXPECT_EQ(a.ledger.totals.wasted_compute_s, b.ledger.totals.wasted_compute_s);
-  EXPECT_EQ(a.ledger.totals.bytes_down, b.ledger.totals.bytes_down);
-  EXPECT_EQ(a.ledger.totals.bytes_up, b.ledger.totals.bytes_up);
+  // Attribution: every ledger row, labels included — a resumed or re-threaded
+  // run must book each client under the same tier, cohort and executor.
+  expect_identical_rollups(a.ledger.by_tier, b.ledger.by_tier, "by_tier");
+  expect_identical_rollups(a.ledger.by_cohort, b.ledger.by_cohort, "by_cohort");
+  expect_identical_rollups(a.ledger.by_executor, b.ledger.by_executor, "by_executor");
+  expect_identical_rollup(a.ledger.totals, b.ledger.totals);
 }
 
 }  // namespace flint::test

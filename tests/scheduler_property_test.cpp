@@ -30,7 +30,8 @@ class SchedulerPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SchedulerPropertyTest, MatchesBruteForceReference) {
   util::Rng rng(GetParam());
   auto trace = random_trace(rng, 200);
-  ArrivalScheduler scheduler(trace);
+  device::TraceWindowStream windows(trace);
+  ArrivalScheduler scheduler(windows);
 
   // Reference: windows sorted by start; a query at time t returns the
   // earliest unconsumed window with end > t, at effective time max(start, t).
@@ -77,7 +78,8 @@ class RequeuePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RequeuePropertyTest, InvariantsUnderRandomRequeues) {
   util::Rng rng(GetParam());
   auto trace = random_trace(rng, 150);
-  ArrivalScheduler scheduler(trace);
+  device::TraceWindowStream windows(trace);
+  ArrivalScheduler scheduler(windows);
 
   VirtualTime t = 0.0;
   std::size_t served = 0;
@@ -108,7 +110,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RequeuePropertyTest, ::testing::Values(3u, 17u, 
 TEST(SchedulerProperty, PeekAlwaysAgreesWithNext) {
   util::Rng rng(5);
   auto trace = random_trace(rng, 100);
-  ArrivalScheduler scheduler(trace);
+  device::TraceWindowStream windows(trace);
+  ArrivalScheduler scheduler(windows);
   VirtualTime t = 0.0;
   while (true) {
     auto peeked = scheduler.peek_time(t);

@@ -359,6 +359,37 @@ TEST(WindowOrder, BreaksTiesByClientThenEnd) {
   EXPECT_FALSE(device::window_order(b, a));
 }
 
+// ------------------------------------------------- device of an unread client
+
+TEST(SessionStream, DeviceOfIsTheSubstreamsFirstDraw) {
+  // A resumed run labels restored clients from device_of() before (or
+  // without) pulling their sessions; both stream paths must agree with the
+  // device generate_sessions recorded, and a trace with the trace's CSR view.
+  auto catalog = device::DeviceCatalog::standard();
+  device::AvailabilityCriteria criteria;
+  util::Rng rng_log(61);
+  auto log = device::generate_sessions(small_config(), catalog, rng_log);
+  auto trace = device::build_availability(log, criteria, catalog);
+  device::TraceWindowStream trace_windows(trace);
+
+  for (std::size_t per_chunk : {std::size_t{8192}, std::size_t{64}}) {
+    SCOPED_TRACE(per_chunk);
+    device::SessionStreamConfig cfg;
+    cfg.generator = small_config();
+    cfg.clients_per_chunk = per_chunk;
+    util::Rng rng(61);
+    auto sessions = device::make_session_stream(cfg, catalog, rng);
+    device::SessionWindowStream windows(*sessions, criteria, catalog);
+    for (std::uint64_t c = 0; c < log.client_device.size(); ++c) {
+      EXPECT_EQ(windows.device_of(c), std::optional<std::size_t>(log.client_device[c]));
+      if (trace.device_of(c).has_value()) {
+        EXPECT_EQ(trace_windows.device_of(c), windows.device_of(c));
+      }
+    }
+    EXPECT_FALSE(windows.device_of(log.client_device.size()).has_value());
+  }
+}
+
 // ----------------------------------- scheduler over a stream == over a trace
 
 TEST(ArrivalScheduler, StreamBackedSchedulerMatchesTraceBacked) {
@@ -377,7 +408,8 @@ TEST(ArrivalScheduler, StreamBackedSchedulerMatchesTraceBacked) {
   auto sessions = device::make_session_stream(cfg, catalog, rng_b);
   device::SessionWindowStream windows(*sessions, criteria, catalog);
 
-  sim::ArrivalScheduler from_trace(trace);
+  device::TraceWindowStream trace_windows(trace);
+  sim::ArrivalScheduler from_trace(trace_windows);
   sim::ArrivalScheduler from_stream(windows);
   sim::VirtualTime t = 0.0;
   while (true) {

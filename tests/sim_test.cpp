@@ -88,9 +88,15 @@ device::AvailabilityTrace simple_trace() {
   return device::AvailabilityTrace(std::move(windows));
 }
 
+/// simple_trace() served through the scheduler's one arrival source.
+struct SimpleArrivals {
+  device::AvailabilityTrace trace = simple_trace();
+  device::TraceWindowStream windows{trace};
+};
+
 TEST(ArrivalScheduler, StreamsInStartOrder) {
-  auto trace = simple_trace();
-  ArrivalScheduler sched(trace);
+  SimpleArrivals src;
+  ArrivalScheduler sched(src.windows);
   auto a = sched.next(0.0);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a->client_id, 10u);
@@ -104,24 +110,26 @@ TEST(ArrivalScheduler, StreamsInStartOrder) {
 }
 
 TEST(ArrivalScheduler, OpenWindowArrivesImmediately) {
-  auto trace = simple_trace();
-  ArrivalScheduler sched(trace);
+  SimpleArrivals src;
+  ArrivalScheduler sched(src.windows);
   auto a = sched.next(75.0);  // client 10's window is open at 75
   EXPECT_EQ(a->client_id, 10u);
   EXPECT_DOUBLE_EQ(a->time, 75.0);
 }
 
 TEST(ArrivalScheduler, SkipsExpiredWindows) {
-  auto trace = simple_trace();
-  ArrivalScheduler sched(trace);
+  SimpleArrivals src;
+  ArrivalScheduler sched(src.windows);
   auto a = sched.next(160.0);  // windows of 10 and 11 have closed
   EXPECT_EQ(a->client_id, 12u);
-  EXPECT_EQ(sched.remaining_windows(), 0u);
+  // All three windows are consumed, and nothing is left to serve.
+  EXPECT_EQ(sched.cursor(), 3u);
+  EXPECT_FALSE(sched.next(160.0).has_value());
 }
 
 TEST(ArrivalScheduler, RequeueReoffersWithinWindow) {
-  auto trace = simple_trace();
-  ArrivalScheduler sched(trace);
+  SimpleArrivals src;
+  ArrivalScheduler sched(src.windows);
   auto a = sched.next(0.0);
   sched.requeue(*a, 30.0);
   auto again = sched.next(0.0);
@@ -131,8 +139,8 @@ TEST(ArrivalScheduler, RequeueReoffersWithinWindow) {
 }
 
 TEST(ArrivalScheduler, RequeuePastWindowEndDropped) {
-  auto trace = simple_trace();
-  ArrivalScheduler sched(trace);
+  SimpleArrivals src;
+  ArrivalScheduler sched(src.windows);
   auto a = sched.next(0.0);
   sched.requeue(*a, 100.0);  // window ends at 100
   auto next = sched.next(0.0);
@@ -140,8 +148,8 @@ TEST(ArrivalScheduler, RequeuePastWindowEndDropped) {
 }
 
 TEST(ArrivalScheduler, PeekDoesNotConsume) {
-  auto trace = simple_trace();
-  ArrivalScheduler sched(trace);
+  SimpleArrivals src;
+  ArrivalScheduler sched(src.windows);
   auto t1 = sched.peek_time(0.0);
   auto t2 = sched.peek_time(0.0);
   ASSERT_TRUE(t1.has_value());
@@ -277,12 +285,12 @@ TEST(Leader, CheckpointCadence) {
   fs::remove_all(dir);
   store::CheckpointStore ckpt(dir.string());
 
-  auto trace = simple_trace();
+  SimpleArrivals src;
   LeaderConfig cfg;
   cfg.executor_count = 2;
   cfg.checkpoint_every_rounds = 2;
   cfg.checkpoint_store = &ckpt;
-  Leader leader(cfg, trace);
+  Leader leader(cfg, src.windows);
   std::vector<float> params = {1.0f};
   for (std::uint64_t round = 1; round <= 5; ++round)
     leader.on_aggregation(round, params, round * 3);
@@ -294,10 +302,10 @@ TEST(Leader, CheckpointCadence) {
 }
 
 TEST(Leader, CadenceWithoutStoreThrows) {
-  auto trace = simple_trace();
+  SimpleArrivals src;
   LeaderConfig cfg;
   cfg.checkpoint_every_rounds = 5;
-  EXPECT_THROW(Leader(cfg, trace), util::CheckError);
+  EXPECT_THROW(Leader(cfg, src.windows), util::CheckError);
 }
 
 TEST(EventQueue, AdvanceToFastForwardsWithoutExecuting) {
@@ -325,7 +333,8 @@ TEST(ArrivalScheduler, SnapshotRestoreRoundTrip) {
   for (std::size_t c = 0; c < 6; ++c) windows.push_back({c, 0, c * 10.0, c * 10.0 + 100.0});
   device::AvailabilityTrace trace(windows);
 
-  ArrivalScheduler a(trace);
+  device::TraceWindowStream windows_a(trace);
+  ArrivalScheduler a(windows_a);
   // Consume some trace, requeue two arrivals at the same retry time so the
   // insertion-order tie-break is exercised across the round trip.
   auto first = a.next(0.0);
@@ -334,12 +343,13 @@ TEST(ArrivalScheduler, SnapshotRestoreRoundTrip) {
   a.requeue(*second, 25.0);
   a.requeue(*first, 25.0);
 
-  ArrivalScheduler b(trace);
+  device::TraceWindowStream windows_b(trace);
+  ArrivalScheduler b(windows_b);
   b.restore(a.cursor(), a.requeued_snapshot());
   EXPECT_EQ(b.cursor(), a.cursor());
-  EXPECT_EQ(b.remaining_windows(), a.remaining_windows());
-  // Both schedulers must serve identical streams from here.
-  for (int i = 0; i < 8; ++i) {
+  // Both schedulers must serve identical streams from here, and run out of
+  // windows at the same step.
+  for (int i = 0; i < 16; ++i) {
     auto na = a.next(20.0);
     auto nb = b.next(20.0);
     ASSERT_EQ(na.has_value(), nb.has_value());
@@ -348,13 +358,15 @@ TEST(ArrivalScheduler, SnapshotRestoreRoundTrip) {
     EXPECT_EQ(na->time, nb->time);
     EXPECT_EQ(na->window_end, nb->window_end);
   }
+  EXPECT_EQ(a.cursor(), windows.size());
+  EXPECT_EQ(b.cursor(), windows.size());
 }
 
 TEST(Leader, DispatchGateFollowsExecutorHealth) {
-  auto trace = simple_trace();
+  SimpleArrivals src;
   LeaderConfig cfg;
   cfg.executor_count = 2;
-  Leader leader(cfg, trace);
+  Leader leader(cfg, src.windows);
   leader.executors().add_outage({0, 10.0, 20.0});
   EXPECT_DOUBLE_EQ(leader.dispatch_gate(15.0), 20.0);
   EXPECT_DOUBLE_EQ(leader.dispatch_gate(5.0), 5.0);

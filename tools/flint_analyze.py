@@ -35,16 +35,9 @@ cannot express:
                        last-ulp differences between runs that inserted in a
                        different order — exactly the fresh-vs-resumed split.
 
-Engines:
-  --engine clang  libclang (clang.cindex) over compile_commands.json: range
-                  and accumulator types resolve through the real AST.
-                  Exits 77 (skip) when the python clang bindings or a
-                  compile database are unavailable.
-  --engine text   pure-Python fallback with per-translation-unit scope: each
-                  file is analyzed together with the project headers it
-                  directly includes, so member/container types resolve
-                  without a compiler. Runs everywhere.
-  --engine auto   clang when importable, else text (default).
+Scope: each file is analyzed together with the project headers it directly
+includes (per-translation-unit scope), so member and container types
+resolve from declarations without a compiler. Pure Python; runs everywhere.
 
 Suppressions: `// flint-analyze: allow(<check>): <reason>` on the offending
 line or up to 3 lines above (multi-line statements put the match on a
@@ -52,22 +45,17 @@ continuation line). The reason is mandatory — an allowlist entry without a
 justification is itself a finding.
 
 Usage:
-  tools/flint_analyze.py [--engine auto|clang|text] [--compdb PATH]
-                         [--self-test] [paths...]        (default: src)
+  tools/flint_analyze.py [--self-test] [paths...]        (default: src)
 
-Exit: 0 clean, 1 findings (or self-test failure), 2 usage error,
-      77 skipped (--engine clang without libclang).
+Exit: 0 clean, 1 findings (or self-test failure), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
-
-EXIT_SKIP = 77
 
 CHECKS = ("unordered-iter", "nondet-source", "save-load-symmetry", "float-accum")
 
@@ -224,8 +212,8 @@ def load_file(path: Path) -> SourceFile:
 
 
 # --------------------------------------------------------------------------
-# Per-TU scope (text engine): a file plus its directly-included project
-# headers. Container types for members and locals resolve against this text.
+# Per-TU scope: a file plus its directly-included project headers.
+# Container types for members and locals resolve against this text.
 # --------------------------------------------------------------------------
 
 INCLUDE_RE = re.compile(r'^\s*#include\s+"([^"]+)"', re.MULTILINE)
@@ -577,7 +565,7 @@ def check_save_load_symmetry(sf: SourceFile) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Text engine driver.
+# Driver.
 # --------------------------------------------------------------------------
 
 def dedupe(findings: list[Finding]) -> list[Finding]:
@@ -611,120 +599,17 @@ def analyze_file_text(path: Path, include_dirs: list[Path]) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Clang engine: same checks, with range/accumulator types resolved through
-# the real AST instead of per-TU text scope.
-# --------------------------------------------------------------------------
-
-def clang_available() -> bool:
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except Exception:
-        return False
-
-
-def analyze_file_clang(path: Path, compdb_dir: Path | None,
-                       include_dirs: list[Path]) -> list[Finding]:
-    import clang.cindex as ci
-
-    args = [f"-I{d}" for d in include_dirs] + ["-std=c++20"]
-    if compdb_dir is not None:
-        try:
-            db = ci.CompilationDatabase.fromDirectory(str(compdb_dir))
-            cmds = db.getCompileCommands(str(path.resolve()))
-            if cmds:
-                raw = list(cmds[0].arguments)[1:]  # drop the compiler itself
-                args = [a for a in raw if a not in ("-c", "-o", str(path))
-                        and not a.endswith((".o", ".cpp"))]
-        except ci.CompilationDatabaseError:
-            pass
-    index = ci.Index.create()
-    tu = index.parse(str(path), args=args)
-
-    sf = load_file(path)
-
-    def is_unordered_type(type_obj) -> bool:
-        spelling = type_obj.get_canonical().spelling
-        return "unordered_map" in spelling or "unordered_set" in spelling or \
-               "unordered_multimap" in spelling or "unordered_multiset" in spelling
-
-    def is_float_type(type_obj) -> bool:
-        return type_obj.get_canonical().spelling.replace("const ", "") in (
-            "double", "float", "long double")
-
-    findings: list[Finding] = []
-
-    def in_main_file(cursor) -> bool:
-        return cursor.location.file and \
-            Path(cursor.location.file.name).resolve() == path.resolve()
-
-    def walk(cursor, in_unordered_loop: tuple[int, str] | None):
-        for child in cursor.get_children():
-            loop_ctx = in_unordered_loop
-            if child.kind == ci.CursorKind.CXX_FOR_RANGE_STMT and in_main_file(child):
-                kids = list(child.get_children())
-                range_expr = kids[-2] if len(kids) >= 2 else None
-                if range_expr is not None and is_unordered_type(range_expr.type):
-                    loop_ctx = (child.location.line,
-                                " ".join(t.spelling for t in range_expr.get_tokens()))
-            if in_main_file(child):
-                line = child.location.line
-                # nondet-source on call expressions.
-                if child.kind == ci.CursorKind.CALL_EXPR and \
-                        child.spelling in ("now", "get_id", "rand", "srand"):
-                    posix = path.as_posix()
-                    if not any(a in posix for a in NONDET_PATH_ALLOWLIST) and \
-                            not sf.allowed("nondet-source", line):
-                        findings.append(Finding(
-                            sf.path, line, "nondet-source",
-                            f"call to '{child.spelling}' outside the obs/ "
-                            f"wall-clock boundary; derive from util::Rng / "
-                            f"virtual time or justify inline"))
-                # float-accum inside an unordered loop.
-                if loop_ctx is not None and child.kind in (
-                        ci.CursorKind.COMPOUND_ASSIGNMENT_OPERATOR,):
-                    lhs = next(iter(child.get_children()), None)
-                    if lhs is not None and is_float_type(lhs.type) and \
-                            not sf.allowed("float-accum", loop_ctx[0]):
-                        findings.append(Finding(
-                            sf.path, loop_ctx[0], "float-accum",
-                            f"float compound assignment at line {line} while "
-                            f"iterating unordered '{loop_ctx[1]}'; fold in "
-                            f"sorted key order"))
-            walk(child, loop_ctx)
-
-    walk(tu.cursor, None)
-    # Sequence/stream sinks and save-load symmetry share the text logic; the
-    # AST contributed the type facts above.
-    headers = [load_file(hp) for hp in resolve_includes(path, include_dirs)]
-    scope = TuScope(sf, headers)
-    text_findings = (check_unordered_loops(sf, scope) + check_distribution_sources(sf) +
-                     check_save_load_symmetry(sf))
-    seen = {(f.line, f.check, f.message) for f in findings}
-    for f in text_findings:
-        if f.check == "float-accum":
-            continue  # AST version above is authoritative for types
-        if (f.line, f.check, f.message) not in seen:
-            findings.append(f)
-    return dedupe(findings)
-
-
-# --------------------------------------------------------------------------
 # Self-test corpus.
 # --------------------------------------------------------------------------
 
-def run_self_test(engine: str, corpus_dir: Path, include_dirs: list[Path],
-                  compdb_dir: Path | None) -> int:
+def run_self_test(corpus_dir: Path, include_dirs: list[Path]) -> int:
     files = sorted(corpus_dir.rglob("*.cpp"))
     if not files:
         print(f"flint_analyze: empty corpus at {corpus_dir}", file=sys.stderr)
         return 2
     failures = 0
     for f in files:
-        if engine == "clang":
-            findings = analyze_file_clang(f, compdb_dir, include_dirs)
-        else:
-            findings = analyze_file_text(f, include_dirs)
+        findings = analyze_file_text(f, include_dirs)
         stem = f.stem
         name = f.relative_to(corpus_dir).as_posix()
         if stem.startswith("bad_"):
@@ -744,7 +629,7 @@ def run_self_test(engine: str, corpus_dir: Path, include_dirs: list[Path],
                 failures += 1
             else:
                 print(f"self-test ok   {name}: clean")
-    print(f"flint_analyze self-test ({engine} engine): "
+    print(f"flint_analyze self-test: "
           f"{len(files)} files, {failures} failure(s)")
     return 1 if failures else 0
 
@@ -756,29 +641,15 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("paths", nargs="*", default=[], help="files or dirs (default: src)")
-    ap.add_argument("--engine", choices=("auto", "clang", "text"), default="auto")
-    ap.add_argument("--compdb", default=None,
-                    help="directory containing compile_commands.json (clang engine)")
     ap.add_argument("--self-test", action="store_true",
                     help="run over tools/analyze_corpus/ and verify expectations")
     opts = ap.parse_args(argv[1:])
 
-    engine = opts.engine
-    if engine == "clang" and not clang_available():
-        print("flint_analyze: python clang bindings unavailable — skipping "
-              "(install python3-clang to enable the AST engine)", file=sys.stderr)
-        return EXIT_SKIP
-    if engine == "auto":
-        engine = "clang" if clang_available() else "text"
-
     repo = Path(__file__).resolve().parent.parent
     include_dirs = [repo / "src"]
-    compdb_dir = Path(opts.compdb) if opts.compdb else \
-        (repo / "build" if (repo / "build" / "compile_commands.json").is_file() else None)
 
     if opts.self_test:
-        return run_self_test(engine, Path(__file__).resolve().parent / "analyze_corpus",
-                             include_dirs, compdb_dir)
+        return run_self_test(Path(__file__).resolve().parent / "analyze_corpus", include_dirs)
 
     roots = [Path(p) for p in (opts.paths or [repo / "src"])]
     files: list[Path] = []
@@ -794,14 +665,11 @@ def main(argv: list[str]) -> int:
 
     findings: list[Finding] = []
     for f in files:
-        if engine == "clang" and f.suffix == ".cpp":
-            findings.extend(analyze_file_clang(f, compdb_dir, include_dirs))
-        else:
-            findings.extend(analyze_file_text(f, include_dirs))
+        findings.extend(analyze_file_text(f, include_dirs))
 
     for finding in findings:
         print(finding)
-    print(f"flint_analyze ({engine} engine): {len(files)} files, "
+    print(f"flint_analyze: {len(files)} files, "
           f"{len(findings)} finding(s)")
     return 1 if findings else 0
 
