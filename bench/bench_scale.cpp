@@ -84,10 +84,6 @@ class CountingWindowStream : public device::WindowStream {
     return w;
   }
 
-  std::optional<std::size_t> device_of(std::uint64_t client) const override {
-    return inner_->device_of(client);
-  }
-
   std::uint64_t count() const { return count_; }
 
  private:
